@@ -29,8 +29,6 @@ from .operator_core import (
     SLD_FUNCTION,
     SuperOperatorKf,
     TangentBasis,
-    apply_kf,
-    apply_kf_inverse,
     hs_inner,
     is_hermitian,
     kf_superoperator,
@@ -41,7 +39,6 @@ from .operator_core import (
 )
 from .qfisher import (
     LogDerivative,
-    QuantumFisherOperator,
     log_derivative,
     monotone_metric_value,
     quantum_cr_check,

@@ -1,15 +1,17 @@
 """Classical statistical models over finite outcome sets with matrix parameters.
 
 A model holds outcome probabilities and the per-outcome score values along
-each orthonormal tangent direction.  From it: the Fisher information operator
-(with pseudoinverse and kernel metadata), Markov-kernel pushforwards,
-monotonicity checks, locally unbiased estimators, and Monte Carlo variance
-estimates.
+each orthonormal tangent direction.  From it: the Fisher information operator,
+Markov-kernel pushforwards, monotonicity checks, locally unbiased estimators,
+and Monte Carlo variance estimates.  FisherOperator holds a Fisher matrix
+through a Gram factor B with J = B^H B; the quantum Fisher informations of
+qfisher use the same type, so error and disturbance share one quadratic form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .errors import (
     NoUnbiasedEstimatorError,
     SingularModelError,
 )
-from .operator_core import TangentBasis, mp_inverse, tangent_basis
+from .operator_core import TangentBasis, tangent_basis
 from .quantum import Povm, QuantumState, _as_state_matrix
 
 # Outcomes with probability at or below this floor are dropped, provided their
@@ -64,40 +66,49 @@ class StatisticalModel:
         return self.scores.shape[1]
 
 
-@dataclass(frozen=True)
 class FisherOperator:
-    """Real symmetric PSD Fisher information matrix with cached pseudoinverse."""
+    """Fisher information J = B^H B, held through its Gram factor B.
 
-    matrix: np.ndarray
-    pinv: np.ndarray
-    rank: int
-    kernel_basis: np.ndarray
+    One thin SVD B = U S V^H fixes the numerical rank: singular values of B
+    (not of J, which would square the condition number) at or below
+    max(B.shape) * eps * s_max are cut.  The kept right singular vectors V_r
+    span range(J), so (a, J^+ b) is the dot product of S^{-1} V_r^H a and
+    S^{-1} V_r^H b, and a leaves the range by its residual a - V_r V_r^H a.
+    The matrix J and its pseudoinverse are derived only on request.
+    """
+
+    def __init__(self, factor: np.ndarray):
+        self.factor = factor
+        _, sv, vh = np.linalg.svd(factor, full_matrices=False)
+        tol = max(factor.shape) * np.finfo(float).eps * sv[0]
+        self.rank = int(np.sum(sv > tol))
+        self._sv = sv[: self.rank]
+        self._vh = vh[: self.rank]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.factor.conj().T @ self.factor
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        return (self._vh.conj().T / self._sv**2) @ self._vh
+
+    def _whiten(self, a: np.ndarray) -> np.ndarray:
+        return (self._vh @ np.asarray(a)) / self._sv
 
     def quad(self, a: np.ndarray, b: np.ndarray | None = None) -> float:
         """(a, J^+ b) with the Euclidean pairing on coordinates."""
-        b = a if b is None else b
-        return float(np.real(np.asarray(a).conj() @ self.pinv @ np.asarray(b)))
+        za = self._whiten(a)
+        zb = za if b is None else self._whiten(b)
+        return float(np.real(np.vdot(za, zb)))
 
     def kernel_violation(self, a: np.ndarray) -> float:
-        """Norm of the component of a in the kernel of the operator."""
-        if self.kernel_basis.shape[1] == 0:
-            return 0.0
-        return float(np.linalg.norm(self.kernel_basis.conj().T @ np.asarray(a)))
+        """Norm of the component of a outside the row space of B (ker J)."""
+        a = np.asarray(a)
+        return float(np.linalg.norm(a - self._vh.conj().T @ (self._vh @ a)))
 
     def in_range(self, a: np.ndarray, rtol: float = 1e-8) -> bool:
         return self.kernel_violation(a) <= rtol * max(np.linalg.norm(a), 1e-300)
-
-
-def _fisher_from_matrix(j: np.ndarray) -> FisherOperator:
-    j = np.asarray(j)
-    sym = (j + j.conj().T) / 2
-    norm = np.linalg.norm(sym)
-    if np.linalg.eigvalsh(sym).min() < -1e-9 * max(norm, 1.0):
-        raise InvalidOperandError("Fisher matrix is not PSD")
-    res = mp_inverse(sym)
-    return FisherOperator(
-        matrix=sym, pinv=res.pinv, rank=res.rank, kernel_basis=res.kernel_basis
-    )
 
 
 @dataclass(frozen=True)
@@ -152,9 +163,8 @@ def model_from_povm(
 
 
 def fisher_operator(mod: StatisticalModel) -> FisherOperator:
-    """J_ab = sum_x p(x) l(x; e_a) l(x; e_b)."""
-    j = (mod.scores * mod.probs[:, None]).T @ mod.scores
-    return _fisher_from_matrix(j)
+    """J_ab = sum_x p(x) l(x; e_a) l(x; e_b), with factor rows sqrt(p(x)) l(x; .)."""
+    return FisherOperator(np.sqrt(mod.probs)[:, None] * mod.scores)
 
 
 def markov_pushforward(mod: StatisticalModel, k: StochasticKernel) -> StatisticalModel:

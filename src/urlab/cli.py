@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields
 
 import click
 
@@ -38,6 +39,22 @@ def _parse_params(pairs) -> dict:
     return params
 
 
+def _merge_config(path: str, kwargs: dict) -> dict:
+    """ScenarioConfig arguments from a JSON file; --param values override its params."""
+    with open(path) as fh:
+        try:
+            file_cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UrlabError(f"config {path}: {exc}") from exc
+    if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("params", {}), dict):
+        raise UrlabError(f"config {path}: expected a JSON object with an object 'params'")
+    unknown = set(file_cfg) - {f.name for f in fields(ScenarioConfig)}
+    if unknown:
+        raise UrlabError(f"config {path}: unknown keys {sorted(unknown)}")
+    params = {**file_cfg.get("params", {}), **kwargs["params"]}
+    return {**kwargs, **file_cfg, "params": params}
+
+
 @click.group()
 def main():
     """Estimation-theoretic measurement error and disturbance checks."""
@@ -59,14 +76,9 @@ def scenario(name, dim, seed, params, config, out, fmt):
             click.echo(n)
         return
     kwargs = {"name": name, "dim": dim, "seed": seed, "params": _parse_params(params)}
-    if config:
-        with open(config) as fh:
-            file_cfg = json.load(fh)
-        file_cfg.setdefault("name", name)
-        file_cfg["params"] = {**file_cfg.get("params", {}), **kwargs["params"]}
-        kwargs = {**kwargs, **{k: v for k, v in file_cfg.items() if k != "params"},
-                  "params": file_cfg["params"]}
     try:
+        if config:
+            kwargs = _merge_config(config, kwargs)
         report = run_scenario(ScenarioConfig(**kwargs))
     except UrlabError as exc:
         raise click.ClickException(str(exc)) from exc

@@ -39,13 +39,6 @@ def require_hermitian(a: np.ndarray, what: str = "operand") -> np.ndarray:
     return a
 
 
-def require_square(a: np.ndarray, what: str = "operand") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidOperandError(f"{what} is not a square matrix")
-    return a
-
-
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr[a^dagger b].
 
@@ -90,11 +83,6 @@ class TangentBasis:
         """Real coordinates of a traceless Hermitian matrix in this basis."""
         x = np.asarray(x, dtype=complex)
         return np.einsum("aij,ij->a", self.elements.conj(), x).real
-
-    def coords_complex(self, x: np.ndarray) -> np.ndarray:
-        """Complex coordinates on the complexified tangent space."""
-        x = np.asarray(x, dtype=complex)
-        return np.einsum("aij,ij->a", self.elements.conj(), x)
 
     def matrix(self, coords: Sequence[float]) -> np.ndarray:
         """Reassemble the matrix with the given coordinates."""
@@ -336,11 +324,3 @@ def kf_superoperator(rho: np.ndarray, f: MonotoneFunction) -> SuperOperatorKf:
     return SuperOperatorKf(
         state_eigenvalues=w, state_eigenvectors=u, function=f, coefficients=coeff
     )
-
-
-def apply_kf(k: SuperOperatorKf, x: np.ndarray) -> np.ndarray:
-    return k.apply(x)
-
-
-def apply_kf_inverse(k: SuperOperatorKf, x: np.ndarray) -> np.ndarray:
-    return k.apply_inverse(x)

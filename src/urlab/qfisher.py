@@ -2,9 +2,12 @@
 
 All superoperator solves go through the eigenbasis coefficient formula
 c_f(l_i, l_j) = l_j f(l_i / l_j), which is exact for strictly positive states.
-SLD Fisher operators are real symmetric on tangent coordinates; RLD and other
-complex-valued forms live on the complexified coordinates with a Hermitian
-matrix.
+quantum_fisher returns the classical FisherOperator type, built from the Gram
+factor whose columns are the directions scaled by (K^f)^{-1/2} in the state
+eigenbasis.  The SLD factor is real (the d^2 real coordinates of Hermitian
+matrices), so its Fisher matrix is real symmetric on tangent coordinates; RLD
+and other complex-valued forms use the complex factor, and their Fisher
+matrices are Hermitian on the complexified coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .operator_core import (
     TangentBasis,
     hs_inner,
     kf_superoperator,
-    mp_inverse,
     tangent_basis,
 )
 from .quantum import (
@@ -59,60 +61,19 @@ def log_derivative(
     return LogDerivative(direction=phi, kind=f.name, matrix=k.apply_inverse(phi))
 
 
-@dataclass(frozen=True)
-class QuantumFisherOperator:
-    """f-Fisher information matrix on tangent coordinates.
-
-    Real symmetric for the SLD function; complex Hermitian (on the
-    complexified coordinates) otherwise.  quad() evaluates the pseudoinverse
-    pairing (a, J^+ b), which is real for real coordinate vectors.
-    """
-
-    kind: str
-    matrix: np.ndarray
-    pinv: np.ndarray
-    rank: int
-    kernel_basis: np.ndarray
-
-    def quad(self, a: np.ndarray, b: np.ndarray | None = None) -> float:
-        b = a if b is None else b
-        val = complex(np.asarray(a).conj() @ self.pinv @ np.asarray(b))
-        return val.real
-
-    def kernel_violation(self, a: np.ndarray) -> float:
-        if self.kernel_basis.shape[1] == 0:
-            return 0.0
-        return float(np.linalg.norm(self.kernel_basis.conj().T @ np.asarray(a)))
-
-    def in_range(self, a: np.ndarray, rtol: float = 1e-8) -> bool:
-        return self.kernel_violation(a) <= rtol * max(np.linalg.norm(a), 1e-300)
-
-
-def _gram_fisher(
-    images: np.ndarray, sigma: np.ndarray, f: MonotoneFunction
-) -> np.ndarray:
-    """Matrix of Tr[X_a (K^f_sigma)^{-1} X_b] for a stack of Hermitian images."""
-    k = kf_superoperator(sigma, f)
-    u = k.state_eigenvectors
-    m, d = images.shape[0], images.shape[1]
-    xt = np.einsum("pi,apq,qj->aij", u.conj(), images, u)
-    lt = xt / k.coefficients
-    flat_x = xt.reshape(m, d * d)
-    flat_l = lt.reshape(m, d * d)
-    return flat_x.conj() @ flat_l.T
-
-
 def quantum_fisher(
     s: QuantumState | np.ndarray,
     f: MonotoneFunction = SLD_FUNCTION,
     pushforward: KrausChannel | None = None,
     basis: TangentBasis | None = None,
-) -> QuantumFisherOperator:
+) -> FisherOperator:
     """f-Fisher information operator of the affine family (optionally pushed).
 
     Without a pushforward the entries are Tr[e_a L^f(e_b)] at the given state.
     With a channel E the model becomes theta -> E(rho0 + theta), so both the
     state and the basis directions are pushed through E before the solve.
+    In the eigenbasis u of the state sigma the entries are Tr[h_a^H h_b] with
+    h_a = (u^H X_a u) / sqrt(c_f), so the h_a are the columns of a Gram factor.
     """
     rho = _as_state_matrix(s)
     d = rho.shape[0]
@@ -125,18 +86,15 @@ def quantum_fisher(
             raise InvalidOperandError("channel input dimension mismatch")
         sigma = pushforward(rho)
         images = np.array([pushforward(e) for e in basis.elements])
-    j = _gram_fisher(images, sigma, f)
+    k = kf_superoperator(sigma, f)
+    u = k.state_eigenvectors
+    h = (u.conj().T @ images @ u) / np.sqrt(k.coefficients)
     if f.name == SLD_FUNCTION.name:
-        j = (j.real + j.real.T) / 2
-    else:
-        j = (j + j.conj().T) / 2
-    norm = max(np.linalg.norm(j), 1.0)
-    if np.linalg.eigvalsh(j).min() < -1e-9 * norm:
-        raise InvalidOperandError("quantum Fisher matrix is not PSD")
-    res = mp_inverse(j)
-    return QuantumFisherOperator(
-        kind=f.name, matrix=j, pinv=res.pinv, rank=res.rank, kernel_basis=res.kernel_basis
-    )
+        # h_a is Hermitian: its d^2 real coordinates carry the real form Tr[h_a h_b]
+        upper = np.triu_indices(h.shape[1], 1)
+        off = np.sqrt(2) * h[:, upper[0], upper[1]]
+        h = np.concatenate([np.diagonal(h, axis1=1, axis2=2).real, off.real, off.imag], axis=1)
+    return FisherOperator(h.reshape(h.shape[0], -1).T)
 
 
 @dataclass(frozen=True)

@@ -73,15 +73,14 @@ class Povm:
     """Finite family of PSD effects summing to the identity.
 
     kind "discrete" is an ordinary finite POVM; kind "grid" represents a
-    continuous POVM discretized on quadrature points, where effects[i] is
-    weights[i] * m(x_i) and completeness is checked to the looser grid
-    tolerance because discretization error dominates.
+    continuous POVM discretized on quadrature points, and completeness is
+    checked to the looser grid tolerance because discretization error
+    dominates.
     """
 
     outcomes: tuple
     effects: tuple
     kind: str = "discrete"
-    weights: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
         effects = tuple(require_hermitian(e, "effect") for e in self.effects)
@@ -101,8 +100,6 @@ class Povm:
             raise InvalidOperandError("effects do not sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "effects", effects)
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     @property
     def dim(self) -> int:

@@ -129,7 +129,10 @@ class ScenarioConfig:
         object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
 
     def param(self, key: str, default: float) -> float:
-        return float(self.params.get(key, default))
+        try:
+            return float(self.params.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise UrlabError(f"param {key!r} is not a number: {self.params[key]!r}") from exc
 
 
 def _scenario_qubit_unsharp(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import fisher_operator, model_from_povm
+from .classical import FisherOperator, fisher_operator, model_from_povm
 from .errors import InvalidOperandError
 from .operator_core import SLD_FUNCTION, TangentBasis, tangent_basis
-from .qfisher import QuantumFisherOperator, quantum_fisher, sld_optimal_pvm
+from .qfisher import quantum_fisher, sld_optimal_pvm
 from .quantum import (
     CpInstrument,
     KrausChannel,
@@ -42,9 +42,10 @@ class ErrorResult:
     """Outcome of a measurement-error or disturbance computation.
 
     quad_form is (a, J^+ a), variance is sigma^2(A), kernel_violation is the
-    norm of the gradient component inside ker J.  value is quad_form -
-    variance when the gradient is in range, and math.inf otherwise; callers
-    must branch on is_infinite before doing arithmetic.
+    norm of the gradient's residual outside the row space of the Gram factor
+    of J (its component in ker J).  value is quad_form - variance when the
+    gradient is in range, and math.inf otherwise; callers must branch on
+    is_infinite before doing arithmetic.
     """
 
     quad_form: float
@@ -83,7 +84,7 @@ def measurement_error(
 
 def _disturbance_and_fisher(
     rho: np.ndarray, a: np.ndarray, e: KrausChannel, basis: TangentBasis
-) -> tuple[ErrorResult, QuantumFisherOperator, np.ndarray]:
+) -> tuple[ErrorResult, FisherOperator, np.ndarray]:
     """eta(A; rho, E), the pushed SLD Fisher operator, and grad<A> coordinates."""
     if e.dim_in != rho.shape[0] or e.dim_out != np.asarray(a).shape[0]:
         raise InvalidOperandError("channel dimensions incompatible with observable")

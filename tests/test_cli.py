@@ -154,6 +154,21 @@ class TestScenarioCommand:
         assert res.exit_code == 0, res.output
         assert "0.234568" in res.output
 
+    @pytest.mark.parametrize(
+        "content",
+        [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}}],
+        ids=["unknown-key", "not-an-object", "non-numeric-param"],
+    )
+    def test_bad_config_is_click_error(self, runner, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        res = runner.invoke(
+            main, ["scenario", "qubit-unsharp", "--config", str(cfg)]
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("Error: ")
+
 
 class TestVerifyCommand:
     def test_classical_suite_passes(self, runner):

@@ -10,8 +10,6 @@ from urlab import (
     RLD_FUNCTION,
     SLD_FUNCTION,
     MonotoneFunction,
-    apply_kf,
-    apply_kf_inverse,
     hs_inner,
     is_hermitian,
     kf_superoperator,
@@ -167,14 +165,14 @@ def test_kf_sld_matches_anticommutator(rng):
     rho = qubit_state(rz=0.4)
     k = kf_superoperator(rho, SLD_FUNCTION)
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    np.testing.assert_allclose(apply_kf(k, x), (rho @ x + x @ rho) / 2, atol=1e-12)
+    np.testing.assert_allclose(k.apply(x), (rho @ x + x @ rho) / 2, atol=1e-12)
 
 
 def test_kf_rld_is_left_multiplication(rng):
     rho = qubit_state(rx=0.3, rz=0.2)
     k = kf_superoperator(rho, RLD_FUNCTION)
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    np.testing.assert_allclose(apply_kf(k, x), rho @ x, atol=1e-12)
+    np.testing.assert_allclose(k.apply(x), rho @ x, atol=1e-12)
 
 
 @pytest.mark.parametrize("f", [SLD_FUNCTION, RLD_FUNCTION, BOGOLIUBOV_FUNCTION])
@@ -185,8 +183,8 @@ def test_kf_inverse_round_trip(rng, f):
     rho = u @ rho @ u.conj().T
     k = kf_superoperator(rho, f)
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(apply_kf_inverse(k, apply_kf(k, x)), x, atol=1e-10)
-    np.testing.assert_allclose(apply_kf(k, apply_kf_inverse(k, x)), x, atol=1e-10)
+    np.testing.assert_allclose(k.apply_inverse(k.apply(x)), x, atol=1e-10)
+    np.testing.assert_allclose(k.apply(k.apply_inverse(x)), x, atol=1e-10)
 
 
 def test_kf_requires_full_rank_state():

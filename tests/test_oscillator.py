@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from urlab import measurement_error
+from urlab import (
+    RLD_FUNCTION,
+    SLD_FUNCTION,
+    FisherOperator,
+    disturbance,
+    fisher_operator,
+    measurement_error,
+    model_from_povm,
+    quantum_fisher,
+    variance,
+)
 from urlab.errors import InvalidOperandError
 from urlab.oscillator import (
     annihilation,
@@ -80,3 +90,32 @@ def test_number_dephasing_channel():
 def test_dephasing_strength_bounds():
     with pytest.raises(InvalidOperandError):
         number_dephasing_channel(4, 1.5)
+
+
+@pytest.mark.parametrize("strength", [1 - 1e-6, 1 - 1e-8])
+def test_near_full_dephasing_disturbance_is_finite(strength):
+    # the pushed SLD Fisher operator is nearly singular here: its rank must be
+    # cut on the singular values of the Gram factor, not on those of J
+    d = 8
+    s = thermal_state(d, 1.0)
+    q = quadrature_q(d)
+    res = disturbance(s, q, number_dephasing_channel(d, strength))
+    expect = variance(s.rho, q) * ((1 - strength) ** -2 - 1)
+    assert not res.is_infinite
+    assert res.value == pytest.approx(expect, rel=1e-8)
+
+
+def test_full_dephasing_disturbance_is_infinite():
+    d = 8
+    s = thermal_state(d, 1.0)
+    assert disturbance(s, quadrature_q(d), number_dephasing_channel(d, 1.0)).is_infinite
+
+
+def test_classical_and_quantum_fisher_share_one_type():
+    d = 4
+    s = thermal_state(d, 1.0)
+    ch = number_dephasing_channel(d, 0.3)
+    assert isinstance(fisher_operator(model_from_povm(s, homodyne_q_pvm(d))), FisherOperator)
+    assert isinstance(quantum_fisher(s, SLD_FUNCTION), FisherOperator)
+    assert isinstance(quantum_fisher(s, RLD_FUNCTION), FisherOperator)
+    assert isinstance(quantum_fisher(s, SLD_FUNCTION, pushforward=ch), FisherOperator)

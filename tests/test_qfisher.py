@@ -136,6 +136,22 @@ def test_pushforward_contracts_fisher(f):
     assert gap >= -1e-8 * max(1.0, np.linalg.norm(j))
 
 
+@pytest.mark.parametrize("f", [SLD_FUNCTION, RLD_FUNCTION, BOGOLIUBOV_FUNCTION])
+def test_fisher_matrix_matches_metric_entries(f):
+    # reference: every entry Tr[E(e_a) (K^f_E(rho))^{-1} E(e_b)] solved one
+    # direction at a time, against the Gram product of the factor
+    gen = rng_from_seed(10)
+    d = 3
+    s = random_state(gen, d)
+    ch = random_channel(gen, d, 4)
+    basis = tangent_basis(d)
+    sigma = ch(s.rho)
+    images = [ch(e) for e in basis.elements]
+    ref = np.array([[monotone_metric_value(sigma, f, x, y) for y in images] for x in images])
+    j = quantum_fisher(s, f, pushforward=ch, basis=basis).matrix
+    np.testing.assert_allclose(j, ref, atol=1e-12 * np.abs(ref).max())
+
+
 def test_sld_optimal_pvm_attains_fisher_form(rng):
     gen = rng_from_seed(8)
     s = random_state(gen, 3)
