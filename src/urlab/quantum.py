@@ -7,15 +7,13 @@ defining constraints on construction and are immutable afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidOperandError
 from .operator_core import (
     EPS_POS,
-    is_hermitian,
     project_traceless,
     require_hermitian,
 )

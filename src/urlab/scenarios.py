@@ -2,11 +2,21 @@
 
 Each scenario or suite produces a RunReport with one row per checked identity
 or inequality; a report passes when no row fails.
+
+Every randomized check (the classical, quantum and uncertainty suites and the
+qubit-unsharp and qutrit-random scenarios) is one trial function plus one
+table.  The trial function trial(rng, dim_max, t) draws the inputs of trial t
+from rng and returns {quantity: value}; the table lists (quantity, kind,
+bound, atol).  _extremes reduces the trials to one row per table entry by
+kind: "le" keeps the largest value (0.0 if no trial reports it), "ge" the
+smallest (inf), and "flag" requires every value to be true.  A trial leaves a
+quantity out where it is undefined, e.g. an infinite error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -16,10 +26,8 @@ from . import oscillator
 from .classical import (
     fisher_operator,
     locally_unbiased_estimator,
-    markov_pushforward,
     model_from_povm,
     monotonicity_check,
-    monte_carlo_variance,
 )
 from .errors import UrlabError
 from .operator_core import (
@@ -41,15 +49,12 @@ from .quantum import (
     CpInstrument,
     KrausChannel,
     Povm,
-    QuantumState,
     average_channel,
     correlation,
-    expectation,
     grad_expectation,
     induced_povm,
     pvm_of_observable,
     sym_correlation,
-    variance,
 )
 from .randoms import (
     random_channel,
@@ -121,18 +126,49 @@ class ScenarioConfig:
     cutoffs: tuple = ()
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise UrlabError(f"dim must be >= 2, got {self.dim}")
-        if self.seed < 0:
+        try:
+            dim, seed = operator.index(self.dim), operator.index(self.seed)
+            cutoffs = tuple(operator.index(c) for c in self.cutoffs)
+        except TypeError as exc:
+            raise UrlabError(f"dim, seed and cutoffs must be integers: {exc}") from exc
+        if dim < 2:
+            raise UrlabError(f"dim must be >= 2, got {dim}")
+        if seed < 0:
             raise UrlabError("seed must be nonnegative")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "params", dict(self.params))
-        object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
+        object.__setattr__(self, "cutoffs", cutoffs)
 
     def param(self, key: str, default: float) -> float:
         try:
             return float(self.params.get(key, default))
         except (TypeError, ValueError) as exc:
             raise UrlabError(f"param {key!r} is not a number: {self.params[key]!r}") from exc
+
+
+def _extremes(trials: list[dict], table) -> list[Row]:
+    """One row per (quantity, kind, bound, atol) entry, reduced over the trials.
+
+    "le" keeps the largest value (0.0 if no trial reports it), "ge" the
+    smallest (inf), "flag" requires every value to be true; a trial that
+    leaves a quantity out does not count for it.
+    """
+    rows = []
+    for quantity, kind, bound, atol in table:
+        values = [t[quantity] for t in trials if quantity in t]
+        if kind == "le":
+            rows.append(le_row(quantity, max(values, default=0.0), bound, atol=atol))
+        elif kind == "ge":
+            rows.append(ge_row(quantity, min(values, default=math.inf), bound, atol=atol))
+        else:
+            rows.append(flag_row(quantity, all(values)))
+    return rows
+
+
+def _loewner_gap(j: np.ndarray, k: np.ndarray) -> float:
+    """Smallest eigenvalue of j - k relative to max(|j|, 1); >= 0 iff j >= k."""
+    return float(np.linalg.eigvalsh(j - k).min() / max(np.linalg.norm(j), 1.0))
 
 
 def _scenario_qubit_unsharp(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
@@ -150,18 +186,18 @@ def _scenario_qubit_unsharp(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
     rows.append(le_row("pvm_zero_error", abs(eps_pvm.value), 1e-8))
 
     # error-error sweep on a polarized state with random POVMs and observables
-    r = cfg.param("r", 0.5)
-    rho = (IDENTITY2 + r * SIGMA_Z) / 2
-    worst = math.inf
+    rho = (IDENTITY2 + cfg.param("r", 0.5) * SIGMA_Z) / 2
+
+    def trial(rng, dim_max: int, t: int) -> dict:
+        a = random_hermitian(rng, dim_max)
+        b = random_hermitian(rng, dim_max)
+        rep = error_error_report(rho, a, b, random_povm(rng, dim_max, 4))
+        return {"error_error_gap_min": rep.margin}
+
     trials = int(cfg.param("trials", 50))
-    for _ in range(trials):
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 2)
-        m = random_povm(rng, 2, 4)
-        rep = error_error_report(rho, a, b, m)
-        if not math.isinf(rep.gap):
-            worst = min(worst, rep.gap + 1e-8 * max(1.0, rep.rhs))
-    rows.append(ge_row("error_error_gap_min", worst, 0.0))
+    rows += _extremes(
+        [trial(rng, 2, t) for t in range(trials)], (("error_error_gap_min", "ge", 0.0, 0.0),)
+    )
     return rows, [2]
 
 
@@ -198,38 +234,36 @@ def _scenario_qubit_instrument(cfg: ScenarioConfig) -> tuple[list[Row], list[int
     return rows, [2]
 
 
+def _qutrit_trial(rng, dim_max: int, t: int) -> dict:
+    """One qutrit-random trial; the scenario passes its fixed dimension 3 as dim_max."""
+    basis = tangent_basis(dim_max)
+    s = random_state(rng, dim_max)
+    m = random_povm(rng, dim_max, rng.integers(3, 7))
+    ch = random_channel(rng, dim_max, 3)
+    a = random_hermitian(rng, dim_max)
+    b = random_hermitian(rng, dim_max)
+    js = quantum_fisher(s, SLD_FUNCTION, basis=basis)
+    js_pushed = quantum_fisher(s, SLD_FUNCTION, pushforward=ch, basis=basis)
+    gb = basis.coords(grad_expectation(s, b))
+    ga = basis.coords(grad_expectation(s, a))
+    return {
+        "quantum_cramer_rao": quantum_cr_check(s, m, basis).holds,
+        "sld_monotonicity_min_gap": _loewner_gap(js.matrix, js_pushed.matrix),
+        "correlation_identity_max_err": abs(sym_correlation(s, a, b) - js.quad(gb, ga)),
+    }
+
+
+_QUTRIT_TABLE = (
+    ("quantum_cramer_rao", "flag", 0.0, 0.0),
+    ("sld_monotonicity_min_gap", "ge", 0.0, 1e-8),
+    ("correlation_identity_max_err", "le", 1e-8, 0.0),
+)
+
+
 def _scenario_qutrit_random(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
     rng = rng_from_seed(cfg.seed)
     trials = int(cfg.param("trials", 25))
-    d = 3
-    basis = tangent_basis(d)
-    cr_ok = True
-    mono_min = math.inf
-    corr_err = 0.0
-    for _ in range(trials):
-        s = random_state(rng, d)
-        m = random_povm(rng, d, rng.integers(3, 7))
-        cr_ok &= quantum_cr_check(s, m, basis).holds
-
-        ch = random_channel(rng, d, 3)
-        js = quantum_fisher(s, SLD_FUNCTION, basis=basis).matrix
-        js_pushed = quantum_fisher(s, SLD_FUNCTION, pushforward=ch, basis=basis).matrix
-        gap = np.linalg.eigvalsh(js - js_pushed).min() / max(np.linalg.norm(js), 1.0)
-        mono_min = min(mono_min, float(gap))
-
-        a = random_hermitian(rng, d)
-        b = random_hermitian(rng, d)
-        js_op = quantum_fisher(s, SLD_FUNCTION, basis=basis)
-        lhs = sym_correlation(s, a, b)
-        rhs = js_op.quad(basis.coords(grad_expectation(s, b)),
-                         basis.coords(grad_expectation(s, a)))
-        corr_err = max(corr_err, abs(lhs - rhs))
-    rows = [
-        flag_row("quantum_cramer_rao", cr_ok, value=float(cr_ok)),
-        ge_row("sld_monotonicity_min_gap", mono_min, 0.0, atol=1e-8),
-        le_row("correlation_identity_max_err", corr_err, 1e-8),
-    ]
-    return rows, [d]
+    return _extremes([_qutrit_trial(rng, 3, t) for t in range(trials)], _QUTRIT_TABLE), [3]
 
 
 def _scenario_oscillator(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
@@ -285,238 +319,191 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 # randomized verification suites
 
 
-def _verify_classical(trials: int, rng, dim_max: int) -> list[Row]:
-    zero_mean_max = 0.0
-    fisher_min = 0.0
-    cr_margin = math.inf
-    mono_min = math.inf
-    kernel_max = 0.0
-    penrose_max = 0.0
-    schur_ok = True
-    for _ in range(trials):
-        n_out = int(rng.integers(2, 9))
-        n_par = int(rng.integers(1, min(15, dim_max * dim_max)))
-        mod = random_model(rng, n_out, n_par)
-        zero_mean_max = max(zero_mean_max, float(np.abs(mod.probs @ mod.scores).max()))
-        j = fisher_operator(mod)
-        norm = max(np.linalg.norm(j.matrix), 1.0)
-        fisher_min = min(fisher_min, float(np.linalg.eigvalsh(j.matrix).min() / norm))
+def _classical_trial(rng, dim_max: int, t: int) -> dict:
+    n_out = int(rng.integers(2, 9))
+    n_par = int(rng.integers(1, min(15, dim_max * dim_max)))
+    mod = random_model(rng, n_out, n_par)
+    j = fisher_operator(mod)
+    norm = max(np.linalg.norm(j.matrix), 1.0)
 
-        # Cramer-Rao for the score estimator plus a random unbiased perturbation
-        a = j.matrix @ rng.normal(size=n_par)  # guaranteed in range(J)
-        est = locally_unbiased_estimator(mod, a, target_value=0.0)
-        g = rng.normal(size=n_out)
-        basis_cols = np.column_stack([np.ones(n_out), mod.scores])
-        # remove components with nonzero p-weighted mean or score correlation
-        w = mod.probs
-        proj = basis_cols @ np.linalg.pinv((basis_cols * w[:, None]).T @ basis_cols) @ (
-            basis_cols * w[:, None]
-        ).T
-        g = g - proj @ g
-        perturbed = est.values + g
-        var = float(w @ perturbed**2 - (w @ perturbed) ** 2)
-        cr_margin = min(cr_margin, var - j.quad(a) + 1e-9)
+    # Cramer-Rao for the score estimator plus a random unbiased perturbation
+    a = j.matrix @ rng.normal(size=n_par)  # guaranteed in range(J)
+    est = locally_unbiased_estimator(mod, a, target_value=0.0)
+    g = rng.normal(size=n_out)
+    basis_cols = np.column_stack([np.ones(n_out), mod.scores])
+    # remove components with nonzero p-weighted mean or score correlation
+    w = mod.probs
+    proj = basis_cols @ np.linalg.pinv((basis_cols * w[:, None]).T @ basis_cols) @ (
+        basis_cols * w[:, None]
+    ).T
+    g = g - proj @ g
+    perturbed = est.values + g
+    var = float(w @ perturbed**2 - (w @ perturbed) ** 2)
 
-        kern = random_kernel(rng, int(rng.integers(1, n_out + 2)), n_out)
-        rep = monotonicity_check(mod, kern)
-        mono_min = min(mono_min, rep.diff_min_eig / norm)
+    kern = random_kernel(rng, int(rng.integers(1, n_out + 2)), n_out)
+    grad = (w * rng.normal(size=n_out)) @ mod.scores
 
-        fhat = rng.normal(size=n_out)
-        grad = (w * fhat) @ mod.scores
-        kernel_max = max(
-            kernel_max,
-            j.kernel_violation(grad) / max(np.linalg.norm(grad), 1e-300),
+    d = int(rng.integers(2, dim_max + 1))
+    rank = int(rng.integers(1, d + 1))
+    g2 = random_complex(rng, (d, rank))
+    s = g2 @ g2.conj().T
+    p = mp_inverse(s).pinv
+
+    blk = random_hermitian(rng, 2 * d)
+    if rng.random() < 0.5:
+        blk = blk @ blk.conj().T
+    srep = schur_positivity_report(blk[:d, :d], blk[:d, d:], blk[d:, d:])
+    return {
+        "zero_mean_scores_max": float(np.abs(mod.probs @ mod.scores).max()),
+        "fisher_psd_min_eig": float(np.linalg.eigvalsh(j.matrix).min() / norm),
+        "cramer_rao_margin_min": var - j.quad(a) + 1e-9,
+        "markov_monotonicity_min_gap": monotonicity_check(mod, kern).diff_min_eig / norm,
+        "kernel_lemma_max_violation": (
+            j.kernel_violation(grad) / max(np.linalg.norm(grad), 1e-300)
+        ),
+        "penrose_residual_max": max(
+            np.linalg.norm(s @ p @ s - s) / max(np.linalg.norm(s), 1e-300),
+            np.linalg.norm(p @ s @ p - p) / max(np.linalg.norm(p), 1.0),
+        ),
+        "schur_equivalence": srep.is_psd == srep.cond2 == srep.cond3,
+    }
+
+
+_CLASSICAL_TABLE = (
+    ("zero_mean_scores_max", "le", 1e-9, 0.0),
+    ("fisher_psd_min_eig", "ge", 0.0, 1e-9),
+    ("cramer_rao_margin_min", "ge", 0.0, 0.0),
+    ("markov_monotonicity_min_gap", "ge", 0.0, 1e-9),
+    ("kernel_lemma_max_violation", "le", 1e-8, 0.0),
+    ("penrose_residual_max", "le", 1e-9, 0.0),
+    ("schur_equivalence", "flag", 0.0, 0.0),
+)
+
+_FUNCTIONS = (SLD_FUNCTION, RLD_FUNCTION, BOGOLIUBOV_FUNCTION)
+
+
+def _quantum_trial(rng, dim_max: int, t: int) -> dict:
+    d = int(rng.integers(2, dim_max + 1))
+    basis = tangent_basis(d)
+    s = random_state(rng, d)
+    phi = basis.matrix(rng.normal(size=basis.size))
+    c = basis.coords(phi)
+    f = _FUNCTIONS[t % len(_FUNCTIONS)]
+    m = random_povm(rng, d, int(rng.integers(2, d * d + 2)))
+    a = random_hermitian(rng, d)
+    b = random_hermitian(rng, d)
+    ch = random_channel(rng, d, int(rng.integers(1, 4)))
+
+    # one Fisher operator per function; f may itself be the SLD or the RLD
+    fns = {g.name: g for g in (SLD_FUNCTION, RLD_FUNCTION, f)}
+    fisher = {name: quantum_fisher(s, g, basis=basis) for name, g in fns.items()}
+    js, jr, jf = fisher[SLD_FUNCTION.name], fisher[RLD_FUNCTION.name], fisher[f.name]
+    ld = log_derivative(s, phi, f)
+    k = kf_superoperator(s.rho, f)
+    jm = fisher_operator(model_from_povm(s, sld_optimal_pvm(s, phi), basis)).matrix
+    ga = basis.coords(grad_expectation(s, a))
+    gb = basis.coords(grad_expectation(s, b))
+    target = float(np.trace(s.rho @ phi @ phi).real - np.trace(s.rho @ phi).real ** 2)
+    jf_pushed = quantum_fisher(s, f, pushforward=ch, basis=basis)
+    return {
+        "logderiv_residual_max": (
+            np.linalg.norm(k.apply(ld.matrix) - phi) / max(np.linalg.norm(phi), 1e-300)
+        ),
+        "logderiv_zero_mean_max": abs(complex(np.trace(s.rho @ ld.matrix))),
+        "quantum_cramer_rao": quantum_cr_check(s, m, basis).holds,
+        "sld_optimal_pvm_max_err": abs(c @ jm @ c - c @ js.matrix @ c),
+        "correlation_sld_max_err": abs(sym_correlation(s, a, b) - js.quad(gb, ga)),
+        "correlation_rld_max_err": abs(correlation(s, a, b) - complex(gb @ jr.pinv @ ga)),
+        "scalar_identity_max_err": max(abs(js.quad(c) - target), abs(jr.quad(c) - target)),
+        "f_monotonicity_min_gap": _loewner_gap(jf.matrix, jf_pushed.matrix),
+    }
+
+
+_QUANTUM_TABLE = (
+    ("logderiv_residual_max", "le", 1e-9, 0.0),
+    ("logderiv_zero_mean_max", "le", 1e-9, 0.0),
+    ("quantum_cramer_rao", "flag", 0.0, 0.0),
+    ("sld_optimal_pvm_max_err", "le", 1e-8, 0.0),
+    ("correlation_sld_max_err", "le", 1e-8, 0.0),
+    ("correlation_rld_max_err", "le", 1e-8, 0.0),
+    ("scalar_identity_max_err", "le", 1e-8, 0.0),
+    ("f_monotonicity_min_gap", "ge", 0.0, 1e-8),
+)
+
+
+def _uncertainty_trial(rng, dim_max: int, t: int) -> dict:
+    d = int(rng.integers(2, min(dim_max, 4) + 1))
+    basis = tangent_basis(d)
+    s = random_state(rng, d)
+    a = random_hermitian(rng, d)
+    b = random_hermitian(rng, d)
+    out = {}
+
+    eps = measurement_error(s, a, pvm_of_observable(a), basis)
+    if not eps.is_infinite:
+        out["pvm_zero_error_max"] = abs(eps.value)
+
+    m = random_povm(rng, d, int(rng.integers(2, d * d + 2)))
+    jm = fisher_operator(model_from_povm(s, m, basis))
+    js = quantum_fisher(s, SLD_FUNCTION, basis=basis)
+    jr = quantum_fisher(s, RLD_FUNCTION, basis=basis)
+    phi = jm.matrix @ rng.normal(size=basis.size)  # in range(J^M)
+    if np.linalg.norm(phi) > 1e-9:
+        out["optimality_lemma_min_margin"] = (
+            jm.quad(phi) - max(js.quad(phi), jr.quad(phi)) + 1e-8
         )
 
-        d = int(rng.integers(2, dim_max + 1))
-        rank = int(rng.integers(1, d + 1))
-        g2 = random_complex(rng, (d, rank))
-        s = g2 @ g2.conj().T
-        res = mp_inverse(s)
-        snorm = max(np.linalg.norm(s), 1e-300)
-        penrose_max = max(
-            penrose_max,
-            np.linalg.norm(s @ res.pinv @ s - s) / snorm,
-            np.linalg.norm(res.pinv @ s @ res.pinv - res.pinv) / snorm,
-        )
+    cchi = basis.coords(basis.matrix(rng.normal(size=basis.size)))
+    # the minimizing member of the SLD-optimal family is the PVM of
+    # L^S((J^S)^+ chi), whose expectation gradient is exactly chi
+    mopt = sld_optimal_pvm(s, basis.matrix(js.pinv @ cchi))
+    jopt = fisher_operator(model_from_povm(s, mopt, basis))
+    out["min_attainment_max_err"] = max(
+        abs(jopt.quad(cchi) - js.quad(cchi)), abs(js.quad(cchi) - jr.quad(cchi))
+    )
 
-        blk = random_hermitian(rng, 2 * d)
-        if rng.random() < 0.5:
-            blk = blk @ blk.conj().T
-        srep = schur_positivity_report(blk[:d, :d], blk[:d, d:], blk[d:, d:])
-        schur_ok &= srep.is_psd == srep.cond2 == srep.cond3
-    return [
-        le_row("zero_mean_scores_max", zero_mean_max, 1e-9),
-        ge_row("fisher_psd_min_eig", fisher_min, 0.0, atol=1e-9),
-        ge_row("cramer_rao_margin_min", cr_margin, 0.0),
-        ge_row("markov_monotonicity_min_gap", mono_min, 0.0, atol=1e-9),
-        le_row("kernel_lemma_max_violation", kernel_max, 1e-8),
-        le_row("penrose_residual_max", penrose_max, 1e-9),
-        flag_row("schur_equivalence", schur_ok),
-    ]
+    ins = random_instrument(rng, d, int(rng.integers(2, 5)))
+    pvm_b = pvm_of_observable(b)
+    joint = joint_povm(ins, pvm_b)
+    marg_x = {}
+    marg_y = {}
+    for (x, y), e in zip(joint.outcomes, joint.effects):
+        marg_x[x] = marg_x.get(x, 0) + e
+        marg_y[y] = marg_y.get(y, 0) + e
+    induced = induced_povm(ins)
+    avg = average_channel(ins)
+    out["joint_marginal_max_err"] = max(
+        [float(np.abs(marg_x[x] - e).max()) for x, e in zip(induced.outcomes, induced.effects)]
+        + [float(np.abs(marg_y[y] - avg.adjoint(e)).max())
+           for y, e in zip(pvm_b.outcomes, pvm_b.effects)]
+    )
 
-
-def _verify_quantum(trials: int, rng, dim_max: int) -> list[Row]:
-    residual_max = 0.0
-    zero_mean_max = 0.0
-    cr_ok = True
-    optimal_err = 0.0
-    corr_s_err = 0.0
-    corr_r_err = 0.0
-    scalar_err = 0.0
-    mono_min = math.inf
-    functions = (SLD_FUNCTION, RLD_FUNCTION, BOGOLIUBOV_FUNCTION)
-    for t in range(trials):
-        d = int(rng.integers(2, dim_max + 1))
-        basis = tangent_basis(d)
-        s = random_state(rng, d)
-        phi = basis.matrix(rng.normal(size=basis.size))
-        f = functions[t % len(functions)]
-
-        ld = log_derivative(s, phi, f)
-        k = kf_superoperator(s.rho, f)
-        residual_max = max(
-            residual_max,
-            np.linalg.norm(k.apply(ld.matrix) - phi) / max(np.linalg.norm(phi), 1e-300),
-        )
-        zero_mean_max = max(zero_mean_max, abs(complex(np.trace(s.rho @ ld.matrix))))
-
-        m = random_povm(rng, d, int(rng.integers(2, d * d + 2)))
-        cr_ok &= quantum_cr_check(s, m, basis).holds
-
-        pvm = sld_optimal_pvm(s, phi)
-        jm = fisher_operator(model_from_povm(s, pvm, basis)).matrix
-        js = quantum_fisher(s, SLD_FUNCTION, basis=basis).matrix
-        c = basis.coords(phi)
-        optimal_err = max(optimal_err, abs(c @ jm @ c - c @ js @ c))
-
-        a = random_hermitian(rng, d)
-        b = random_hermitian(rng, d)
-        js_op = quantum_fisher(s, SLD_FUNCTION, basis=basis)
-        jr_op = quantum_fisher(s, RLD_FUNCTION, basis=basis)
-        ga = basis.coords(grad_expectation(s, a))
-        gb = basis.coords(grad_expectation(s, b))
-        corr_s_err = max(
-            corr_s_err, abs(sym_correlation(s, a, b) - js_op.quad(gb, ga))
-        )
-        corr_r = complex(gb @ jr_op.pinv @ ga)
-        corr_r_err = max(corr_r_err, abs(correlation(s, a, b) - corr_r))
-        gphi = basis.coords(phi)
-        target = float(np.trace(s.rho @ phi @ phi).real - np.trace(s.rho @ phi).real ** 2)
-        scalar_err = max(
-            scalar_err,
-            abs(js_op.quad(gphi) - target),
-            abs(jr_op.quad(gphi) - target),
-        )
-
-        ch = random_channel(rng, d, int(rng.integers(1, 4)))
-        jf = quantum_fisher(s, f, basis=basis).matrix
-        jf_pushed = quantum_fisher(s, f, pushforward=ch, basis=basis).matrix
-        gap = np.linalg.eigvalsh(jf - jf_pushed).min() / max(np.linalg.norm(jf), 1.0)
-        mono_min = min(mono_min, float(gap))
-    return [
-        le_row("logderiv_residual_max", residual_max, 1e-9),
-        le_row("logderiv_zero_mean_max", zero_mean_max, 1e-9),
-        flag_row("quantum_cramer_rao", cr_ok),
-        le_row("sld_optimal_pvm_max_err", optimal_err, 1e-8),
-        le_row("correlation_sld_max_err", corr_s_err, 1e-8),
-        le_row("correlation_rld_max_err", corr_r_err, 1e-8),
-        le_row("scalar_identity_max_err", scalar_err, 1e-8),
-        ge_row("f_monotonicity_min_gap", mono_min, 0.0, atol=1e-8),
-    ]
+    # an instrument with >= d^2 outcomes keeps the induced POVM
+    # informationally complete, so the error-disturbance product check
+    # is exercised with finite quantities instead of the infinite branch
+    rep = error_disturbance_report(s, a, b, random_instrument(rng, d, d * d + 1), basis)
+    out["domination_error_induced"] = rep.domination_a
+    out["domination_disturbance_joint"] = rep.domination_b
+    out["error_disturbance_gap_min"] = rep.margin
+    out["error_error_gap_min"] = error_error_report(s, a, b, m, basis).margin
+    return out
 
 
-def _verify_uncertainty(trials: int, rng, dim_max: int) -> list[Row]:
-    dmax = min(dim_max, 4)
-    pvm_err_max = 0.0
-    optimality_min = math.inf
-    attainment_err = 0.0
-    marginal_err = 0.0
-    domination_a_ok = True
-    domination_b_ok = True
-    ee_margin = math.inf
-    ed_margin = math.inf
-    for _ in range(trials):
-        d = int(rng.integers(2, dmax + 1))
-        basis = tangent_basis(d)
-        s = random_state(rng, d)
-        a = random_hermitian(rng, d)
-        b = random_hermitian(rng, d)
-
-        eps = measurement_error(s, a, pvm_of_observable(a), basis)
-        if not eps.is_infinite:
-            pvm_err_max = max(pvm_err_max, abs(eps.value))
-
-        m = random_povm(rng, d, int(rng.integers(2, d * d + 2)))
-        jm = fisher_operator(model_from_povm(s, m, basis))
-        js_op = quantum_fisher(s, SLD_FUNCTION, basis=basis)
-        jr_op = quantum_fisher(s, RLD_FUNCTION, basis=basis)
-        phi = jm.matrix @ rng.normal(size=basis.size)  # in range(J^M)
-        if np.linalg.norm(phi) > 1e-9:
-            optimality_min = min(
-                optimality_min,
-                jm.quad(phi) - js_op.quad(phi) + 1e-8,
-                jm.quad(phi) - jr_op.quad(phi) + 1e-8,
-            )
-
-        chi = basis.matrix(rng.normal(size=basis.size))
-        cchi = basis.coords(chi)
-        # the minimizing member of the SLD-optimal family is the PVM of
-        # L^S((J^S)^+ chi), whose expectation gradient is exactly chi
-        mopt = sld_optimal_pvm(s, basis.matrix(js_op.pinv @ cchi))
-        jopt = fisher_operator(model_from_povm(s, mopt, basis))
-        attainment_err = max(
-            attainment_err,
-            abs(jopt.quad(cchi) - js_op.quad(cchi)),
-            abs(js_op.quad(cchi) - jr_op.quad(cchi)),
-        )
-
-        ins = random_instrument(rng, d, int(rng.integers(2, 5)))
-        pvm_b = pvm_of_observable(b)
-        joint = joint_povm(ins, pvm_b)
-        induced = induced_povm(ins)
-        marg_x = {}
-        marg_y = {}
-        for (x, y), e in zip(joint.outcomes, joint.effects):
-            marg_x[x] = marg_x.get(x, 0) + e
-            marg_y[y] = marg_y.get(y, 0) + e
-        for x, e in zip(induced.outcomes, induced.effects):
-            marginal_err = max(marginal_err, float(np.abs(marg_x[x] - e).max()))
-        avg = average_channel(ins)
-        for y, proj in zip(pvm_b.outcomes, pvm_b.effects):
-            marginal_err = max(
-                marginal_err, float(np.abs(marg_y[y] - avg.adjoint(proj)).max())
-            )
-
-        # an instrument with >= d^2 outcomes keeps the induced POVM
-        # informationally complete, so the error-disturbance product check
-        # is exercised with finite quantities instead of the infinite branch
-        ins_full = random_instrument(rng, d, d * d + 1)
-        rep = error_disturbance_report(s, a, b, ins_full, basis)
-        domination_a_ok &= rep.domination_a
-        domination_b_ok &= rep.domination_b
-        if not math.isinf(rep.gap):
-            ed_margin = min(ed_margin, rep.gap + 1e-8 * max(1.0, rep.rhs))
-
-        ee = error_error_report(s, a, b, m, basis)
-        if not math.isinf(ee.gap):
-            ee_margin = min(ee_margin, ee.gap + 1e-8 * max(1.0, ee.rhs))
-    return [
-        le_row("pvm_zero_error_max", pvm_err_max, 1e-8),
-        ge_row("optimality_lemma_min_margin", optimality_min, 0.0),
-        le_row("min_attainment_max_err", attainment_err, 1e-8),
-        le_row("joint_marginal_max_err", marginal_err, 1e-10),
-        flag_row("domination_error_induced", domination_a_ok),
-        flag_row("domination_disturbance_joint", domination_b_ok),
-        ge_row("error_error_gap_min", ee_margin, 0.0),
-        ge_row("error_disturbance_gap_min", ed_margin, 0.0),
-    ]
-
+_UNCERTAINTY_TABLE = (
+    ("pvm_zero_error_max", "le", 1e-8, 0.0),
+    ("optimality_lemma_min_margin", "ge", 0.0, 0.0),
+    ("min_attainment_max_err", "le", 1e-8, 0.0),
+    ("joint_marginal_max_err", "le", 1e-10, 0.0),
+    ("domination_error_induced", "flag", 0.0, 0.0),
+    ("domination_disturbance_joint", "flag", 0.0, 0.0),
+    ("error_error_gap_min", "ge", 0.0, 0.0),
+    ("error_disturbance_gap_min", "ge", 0.0, 0.0),
+)
 
 _SUITES = {
-    "classical": _verify_classical,
-    "quantum": _verify_quantum,
-    "uncertainty": _verify_uncertainty,
+    "classical": (_classical_trial, _CLASSICAL_TABLE),
+    "quantum": (_quantum_trial, _QUANTUM_TABLE),
+    "uncertainty": (_uncertainty_trial, _UNCERTAINTY_TABLE),
 }
 
 
@@ -535,7 +522,8 @@ def run_verify(
     rows = []
     for name in names:
         rng = rng_from_seed(seed + 7919 * (sorted(_SUITES).index(name) + 1))
-        for row in _SUITES[name](trials, rng, dim_max):
+        trial, table = _SUITES[name]
+        for row in _extremes([trial(rng, dim_max, t) for t in range(trials)], table):
             rows.append(Row(f"{name}.{row.quantity}", row.value, row.bound, row.status))
     return RunReport(
         scenario=f"verify-{suite}",

@@ -26,7 +26,6 @@ from .quantum import (
     QuantumState,
     _as_state_matrix,
     average_channel,
-    expectation,
     grad_expectation,
     induced_povm,
     sym_correlation,
@@ -145,8 +144,8 @@ class UncertaintyReport:
     """One verified instance of an error-error or error-disturbance bound.
 
     lhs is the product of the two errors (math.inf if either is infinite), rhs
-    is r_term^2 + commutator_term, and gap = lhs - rhs.  The bound holds
-    trivially when lhs is infinite.
+    is r_term^2 + commutator_term, and gap = lhs - rhs.  The bound holds when
+    margin >= 0, and trivially when lhs is infinite.
     """
 
     eps_a: ErrorResult
@@ -170,10 +169,13 @@ class UncertaintyReport:
         return math.inf if math.isinf(self.lhs) else self.lhs - self.rhs
 
     @property
+    def margin(self) -> float:
+        """gap + 1e-8 max(1, rhs): the gap with its tolerance, inf when lhs is."""
+        return self.gap + 1e-8 * max(1.0, self.rhs)
+
+    @property
     def holds(self) -> bool:
-        if math.isinf(self.lhs):
-            return True
-        return self.gap >= -1e-8 * max(1.0, self.rhs)
+        return self.margin >= 0
 
 
 def _r_term(rho, a, b, j, basis) -> float:

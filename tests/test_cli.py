@@ -3,12 +3,17 @@
 import csv
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from urlab import scenarios
 from urlab.cli import main
 from urlab.errors import UrlabError
+from urlab.operator_core import SLD_FUNCTION
+from urlab.qfisher import quantum_fisher
 from urlab.report import (
     CSV_COLUMNS,
     Row,
@@ -156,8 +161,10 @@ class TestScenarioCommand:
 
     @pytest.mark.parametrize(
         "content",
-        [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}}],
-        ids=["unknown-key", "not-an-object", "non-numeric-param"],
+        [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}},
+         {"dim": "3"}, {"seed": 1.5}, {"cutoffs": ["a"]}, {"cutoffs": 8}],
+        ids=["unknown-key", "not-an-object", "non-numeric-param", "string-dim",
+             "float-seed", "non-integer-cutoff", "scalar-cutoffs"],
     )
     def test_bad_config_is_click_error(self, runner, tmp_path, content):
         cfg = tmp_path / "cfg.json"
@@ -188,6 +195,30 @@ class TestVerifyCommand:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert all(r[5] == "pass" for r in rows[1:])
+
+    def test_classical_suite_seed_2_passes(self, runner):
+        # the Penrose residual P s P - P is relative to max(|P|, 1), not |s|
+        res = runner.invoke(
+            main, ["verify", "--suite", "classical", "--trials", "200", "--seed", "2"]
+        )
+        assert res.exit_code == 0, res.output
+
+    def test_one_fisher_operator_per_trial_input(self, monkeypatch):
+        # each trial builds the Fisher operator of a (state, function,
+        # channel) once and reuses it for every check that needs it
+        keys = []
+
+        def recording(s, f=SLD_FUNCTION, pushforward=None, basis=None):
+            rho = np.asarray(getattr(s, "rho", s))
+            channel = None if pushforward is None else id(pushforward)
+            keys.append((rho.tobytes(), f.name, channel))
+            return quantum_fisher(s, f, pushforward, basis)
+
+        monkeypatch.setattr(scenarios, "quantum_fisher", recording)
+        scenarios.run_verify("all", trials=3)
+        scenarios.run_scenario(scenarios.ScenarioConfig("qutrit-random", params={"trials": 3}))
+        assert keys
+        assert [key[1:] for key, n in Counter(keys).items() if n > 1] == []
 
     def test_uncertainty_suite_passes(self, runner):
         res = runner.invoke(

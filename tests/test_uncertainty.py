@@ -160,6 +160,7 @@ class TestErrorErrorReport:
         assert rep.commutator_term <= 1e-12
         assert rep.r_term == pytest.approx(rep.eps_a.value, abs=1e-9)
         assert rep.gap == pytest.approx(0.0, abs=1e-8)
+        assert rep.holds == (rep.margin >= 0)
 
     def test_maximally_mixed_random_sweep(self):
         gen = rng_from_seed(23)
@@ -265,4 +266,5 @@ class TestErrorDisturbanceReport:
         )
         assert rep.eps_a.is_infinite
         assert math.isinf(rep.lhs)
+        assert math.isinf(rep.margin)
         assert rep.holds
