@@ -144,16 +144,16 @@ def model_from_povm(
         raise InvalidOperandError("state and POVM dimension mismatch")
     if basis is None:
         basis = tangent_basis(d)
-    effects = np.array(m.effects)
-    probs = np.einsum("ij,xji->x", rho, effects).real
-    numer = np.einsum("aij,xji->xa", basis.elements, effects).real
+    probs = np.einsum("ij,xji->x", rho, m.effects).real
+    numer = np.einsum("aij,xji->xa", basis.elements, m.effects).real
     keep = probs > P_FLOOR
-    for x in np.nonzero(~keep)[0]:
-        if np.linalg.norm(m.effects[x]) > 1e-10:
-            raise SingularModelError(
-                f"outcome {m.outcomes[x]!r} has probability {probs[x]:.3e} "
-                "but a non-negligible effect"
-            )
+    singular = ~keep & (np.linalg.norm(m.effects, axis=(1, 2)) > 1e-10)
+    if singular.any():
+        x = singular.argmax()
+        raise SingularModelError(
+            f"outcome {m.outcomes[x]!r} has probability {probs[x]:.3e} "
+            "but a non-negligible effect"
+        )
     probs_kept = probs[keep]
     scores = numer[keep] / probs_kept[:, None]
     outcomes = tuple(o for o, k in zip(m.outcomes, keep) if k)

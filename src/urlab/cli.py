@@ -41,11 +41,11 @@ def _parse_params(pairs) -> dict:
 
 def _merge_config(path: str, kwargs: dict) -> dict:
     """ScenarioConfig arguments from a JSON file; --param values override its params."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UrlabError(f"config {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UrlabError(f"config {path}: {exc}") from exc
     if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("params", {}), dict):
         raise UrlabError(f"config {path}: expected a JSON object with an object 'params'")
     unknown = set(file_cfg) - {f.name for f in fields(ScenarioConfig)}
@@ -65,7 +65,8 @@ def main():
 @click.option("--dim", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--param", "params", multiple=True, help="Scenario parameter, key=value.")
-@click.option("--config", type=click.Path(exists=True), help="JSON ScenarioConfig file.")
+@click.option("--config", type=click.Path(exists=True, dir_okay=False),
+              help="JSON ScenarioConfig file.")
 @click.option("--out", type=click.Path(), help="Write the report to this path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
@@ -119,10 +120,12 @@ def sweep(target, cutoffs, mean_photon, dephasing, seed, out, fmt):
         cut = tuple(int(c) for c in cutoffs.split(",") if c)
     except ValueError as exc:
         raise click.UsageError(f"bad --cutoffs {cutoffs!r}") from exc
+    if not cut:
+        raise click.UsageError("--cutoffs lists no truncation dimension")
     try:
         cfg = ScenarioConfig(
             name=target,
-            dim=max(cut) if cut else 2,
+            dim=max(cut),
             seed=seed,
             params={"mean_photon": mean_photon, "dephasing": dephasing},
             cutoffs=cut,

@@ -24,17 +24,26 @@ EPS_POS = 1e-10
 HERM_RTOL = 1e-12
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., m, n)."""
+    return np.swapaxes(np.conj(a), -1, -2)
+
+
 def is_hermitian(a: np.ndarray, rtol: float = HERM_RTOL) -> bool:
+    """Whether a matrix, or each matrix of a stack (..., d, d), is Hermitian.
+
+    Each is held to rtol times its own max(|a|_max, 1), not the stack's.
+    """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.size:
         return False
-    scale = max(np.abs(a).max(), 1.0)
-    return bool(np.abs(a - a.conj().T).max() <= rtol * scale)
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    return bool(np.all(np.abs(a - dagger(a)).max(axis=(-2, -1)) <= rtol * scale))
 
 
 def require_hermitian(a: np.ndarray, what: str = "operand") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a):
+    if a.ndim != 2 or not is_hermitian(a):
         raise InvalidOperandError(f"{what} is not Hermitian")
     return a
 

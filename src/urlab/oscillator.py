@@ -49,9 +49,8 @@ def number_dephasing_channel(dim: int, strength: float) -> KrausChannel:
     """
     if not 0.0 <= strength <= 1.0:
         raise InvalidOperandError("dephasing strength must be in [0, 1]")
-    kraus = [np.sqrt(1.0 - strength) * np.eye(dim, dtype=complex)]
-    for n in range(dim):
-        k = np.zeros((dim, dim), dtype=complex)
-        k[n, n] = np.sqrt(strength)
-        kraus.append(k)
-    return KrausChannel(kraus=tuple(kraus))
+    kraus = np.zeros((dim + 1, dim, dim), dtype=complex)
+    kraus[0] = np.sqrt(1.0 - strength) * np.eye(dim)
+    n = np.arange(dim)
+    kraus[n + 1, n, n] = np.sqrt(strength)
+    return KrausChannel(kraus=kraus)

@@ -79,13 +79,9 @@ def quantum_fisher(
     d = rho.shape[0]
     if basis is None:
         basis = tangent_basis(d)
-    images = basis.elements
-    sigma = rho
+    sigma, images = rho, basis.elements
     if pushforward is not None:
-        if pushforward.dim_in != d:
-            raise InvalidOperandError("channel input dimension mismatch")
-        sigma = pushforward(rho)
-        images = np.array([pushforward(e) for e in basis.elements])
+        sigma, images = pushforward(rho), pushforward(basis.elements)
     k = kf_superoperator(sigma, f)
     u = k.state_eigenvectors
     h = (u.conj().T @ images @ u) / np.sqrt(k.coefficients)
@@ -99,9 +95,13 @@ def quantum_fisher(
 
 @dataclass(frozen=True)
 class CramerRaoReport:
+    """Loewner gaps J^S - J^M and J^R - J^M, with the SLD and RLD operators used."""
+
     sld_gap_min_eig: float
     rld_gap_min_eig: float
     holds: bool
+    sld: FisherOperator
+    rld: FisherOperator
 
 
 def quantum_cr_check(
@@ -116,14 +116,17 @@ def quantum_cr_check(
     if basis is None:
         basis = tangent_basis(rho.shape[0])
     jm = fisher_operator(model_from_povm(rho, m, basis)).matrix
-    js = quantum_fisher(rho, SLD_FUNCTION, basis=basis).matrix
-    jr = quantum_fisher(rho, RLD_FUNCTION, basis=basis).matrix
+    sld = quantum_fisher(rho, SLD_FUNCTION, basis=basis)
+    rld = quantum_fisher(rho, RLD_FUNCTION, basis=basis)
+    js, jr = sld.matrix, rld.matrix
     sld_gap = float(np.linalg.eigvalsh(js - jm).min())
     rld_gap = float(np.linalg.eigvalsh(jr - jm.astype(complex)).min())
     holds = sld_gap >= -1e-8 * max(np.linalg.norm(js), 1.0) and rld_gap >= -1e-8 * max(
         np.linalg.norm(jr), 1.0
     )
-    return CramerRaoReport(sld_gap_min_eig=sld_gap, rld_gap_min_eig=rld_gap, holds=holds)
+    return CramerRaoReport(
+        sld_gap_min_eig=sld_gap, rld_gap_min_eig=rld_gap, holds=holds, sld=sld, rld=rld
+    )
 
 
 def sld_optimal_pvm(s: QuantumState | np.ndarray, phi: np.ndarray) -> Povm:

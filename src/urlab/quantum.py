@@ -2,7 +2,9 @@
 
 Observables and tangent directions are plain Hermitian numpy arrays; the
 structured objects (states, POVMs, channels, instruments) validate their
-defining constraints on construction and are immutable afterwards.
+defining constraints on construction and are immutable afterwards.  Operator
+families (effects, Kraus operators) are single complex (n, rows, cols) arrays,
+and every Kraus sandwich goes through kraus_sum.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import numpy as np
 from .errors import InvalidOperandError
 from .operator_core import (
     EPS_POS,
+    dagger,
+    is_hermitian,
     project_traceless,
     require_hermitian,
 )
@@ -60,85 +64,84 @@ class QuantumState:
         return self.base.shape[0]
 
 
-def _check_effect_psd(effect: np.ndarray, label) -> None:
-    norm = max(np.linalg.norm(effect), 1.0)
-    if np.linalg.eigvalsh(effect).min() < -1e-10 * norm:
-        raise InvalidOperandError(f"effect {label!r} is not PSD")
+def _operator_stack(ops, what: str) -> np.ndarray:
+    """ops as one complex array of shape (n, rows, cols) with n >= 1."""
+    try:
+        stack = np.asarray(ops, dtype=complex)
+    except ValueError as exc:
+        raise InvalidOperandError(f"{what} have inconsistent shapes") from exc
+    if stack.ndim != 3 or 0 in stack.shape:
+        raise InvalidOperandError(f"{what} must form a nonempty (n, rows, cols) stack")
+    return stack
 
 
 @dataclass(frozen=True)
 class Povm:
     """Finite family of PSD effects summing to the identity.
 
-    kind "discrete" is an ordinary finite POVM; kind "grid" represents a
-    continuous POVM discretized on quadrature points, and completeness is
-    checked to the looser grid tolerance because discretization error
-    dominates.
+    effects is one (n, d, d) array.  kind "discrete" is an ordinary finite
+    POVM; kind "grid" represents a continuous POVM discretized on quadrature
+    points, and completeness is checked to the looser grid tolerance because
+    discretization error dominates.
     """
 
     outcomes: tuple
-    effects: tuple
+    effects: np.ndarray
     kind: str = "discrete"
 
     def __post_init__(self):
-        effects = tuple(require_hermitian(e, "effect") for e in self.effects)
+        effects = _operator_stack(self.effects, "effects")
+        if not is_hermitian(effects):
+            raise InvalidOperandError("effect is not Hermitian")
         outcomes = tuple(self.outcomes)
         if len(outcomes) != len(effects):
             raise InvalidOperandError("outcomes and effects length mismatch")
         if self.kind not in ("discrete", "grid"):
             raise InvalidOperandError(f"unknown POVM kind {self.kind!r}")
-        d = effects[0].shape[0]
-        for lab, e in zip(outcomes, effects):
-            if e.shape != (d, d):
-                raise InvalidOperandError("effects have inconsistent dimensions")
-            _check_effect_psd(e, lab)
-        total = sum(effects)
+        norms = np.maximum(np.linalg.norm(effects, axis=(1, 2)), 1.0)
+        negative = np.linalg.eigvalsh(effects)[:, 0] < -1e-10 * norms
+        if negative.any():
+            raise InvalidOperandError(f"effect {outcomes[negative.argmax()]!r} is not PSD")
         tol = 1e-6 if self.kind == "grid" else 1e-8
-        if np.abs(total - np.eye(d)).max() > tol:
+        if np.abs(effects.sum(axis=0) - np.eye(effects.shape[1])).max() > tol:
             raise InvalidOperandError("effects do not sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "effects", effects)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     def __len__(self) -> int:
         return len(self.effects)
 
     def is_projective(self, tol: float = 1e-8) -> bool:
-        return all(
-            np.abs(e @ e - e).max() <= tol * max(1.0, np.abs(e).max())
-            for e in self.effects
-        )
+        e = self.effects
+        scale = np.maximum(np.abs(e).max(axis=(1, 2)), 1.0)
+        return bool(np.all(np.abs(e @ e - e).max(axis=(1, 2)) <= tol * scale))
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map given by Kraus operators (possibly rectangular d' x d)."""
+    """CPTP map from a (k, d', d) array of Kraus operators; applies to (..., d, d) stacks."""
 
-    kraus: tuple
+    kraus: np.ndarray
 
     def __post_init__(self):
-        kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not kraus:
-            raise InvalidOperandError("channel needs at least one Kraus operator")
-        din = kraus[0].shape[1]
-        for k in kraus:
-            if k.ndim != 2 or k.shape[1] != din:
-                raise InvalidOperandError("Kraus operators have inconsistent shapes")
-        total = sum(k.conj().T @ k for k in kraus)
-        if np.abs(total - np.eye(din)).max() > 1e-10:
+        kraus = _operator_stack(self.kraus, "Kraus operators")
+        # sum_k K^dagger K = I: the Kraus operators stacked vertically are an isometry
+        v = kraus.reshape(-1, kraus.shape[2])
+        if np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() > 1e-10:
             raise InvalidOperandError("channel is not trace preserving")
         object.__setattr__(self, "kraus", kraus)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return apply_channel(self, x)
@@ -146,9 +149,9 @@ class KrausChannel:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Heisenberg-picture adjoint: sum_k K^dagger y K."""
         y = np.asarray(y, dtype=complex)
-        if y.shape != (self.dim_out, self.dim_out):
+        if y.shape[-2:] != (self.dim_out, self.dim_out):
             raise InvalidOperandError("operand dimension mismatch with channel output")
-        return sum(k.conj().T @ y @ k for k in self.kraus)
+        return kraus_sum(dagger(self.kraus), y)
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -160,30 +163,22 @@ class CpInstrument:
     """Outcome-indexed Kraus sets whose total map is trace preserving."""
 
     outcomes: tuple
-    kraus_sets: tuple  # tuple of tuples of Kraus operators
+    kraus_sets: tuple  # one (k_x, d', d) array of Kraus operators per outcome
 
     def __post_init__(self):
         outcomes = tuple(self.outcomes)
-        sets = tuple(
-            tuple(np.asarray(k, dtype=complex) for k in ks) for ks in self.kraus_sets
-        )
+        sets = tuple(_operator_stack(ks, "Kraus operators") for ks in self.kraus_sets)
         if len(outcomes) != len(sets) or not sets:
             raise InvalidOperandError("outcomes and kraus_sets length mismatch")
-        din = sets[0][0].shape[1]
-        total = np.zeros((din, din), dtype=complex)
-        for ks in sets:
-            for k in ks:
-                if k.shape[1] != din:
-                    raise InvalidOperandError("Kraus operators have inconsistent shapes")
-                total += k.conj().T @ k
-        if np.abs(total - np.eye(din)).max() > 1e-10:
-            raise InvalidOperandError("instrument total map is not trace preserving")
+        if len({ks.shape[1:] for ks in sets}) != 1:
+            raise InvalidOperandError("Kraus operators have inconsistent shapes")
+        KrausChannel(kraus=np.concatenate(sets))  # the total map must be trace preserving
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "kraus_sets", sets)
 
     @property
     def dim(self) -> int:
-        return self.kraus_sets[0][0].shape[1]
+        return self.kraus_sets[0].shape[2]
 
 
 def _as_state_matrix(s) -> np.ndarray:
@@ -239,27 +234,34 @@ def grad_expectation(s, a: np.ndarray) -> np.ndarray:
     return project_traceless(a)
 
 
+def kraus_sum(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k K_k x K_k^dagger for a (k, d', d) Kraus stack and x of shape (..., d, d).
+
+    Loops over the Kraus operators only, each product batched over x's leading axes.
+    """
+    return sum(k @ x @ k.conj().T for k in kraus)
+
+
 def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
-    """sum_k K x K^dagger; preserves trace and PSD-ness."""
+    """sum_k K x K^dagger on a matrix or a stack (..., d, d); preserves trace and PSD-ness."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (ch.dim_in, ch.dim_in):
+    if x.shape[-2:] != (ch.dim_in, ch.dim_in):
         raise InvalidOperandError(
             f"operand shape {x.shape} incompatible with channel input {ch.dim_in}"
         )
-    return sum(k @ x @ k.conj().T for k in ch.kraus)
+    return kraus_sum(ch.kraus, x)
 
 
 def induced_povm(ins: CpInstrument) -> Povm:
     """The POVM measured by the instrument: effect(x) = sum_k K_{x,k}^dagger K_{x,k}."""
-    effects = tuple(
-        sum(k.conj().T @ k for k in ks) for ks in ins.kraus_sets
-    )
+    eye = np.eye(ins.dim)
+    effects = np.array([kraus_sum(dagger(ks), eye) for ks in ins.kraus_sets])
     return Povm(outcomes=ins.outcomes, effects=effects)
 
 
 def average_channel(ins: CpInstrument) -> KrausChannel:
     """The non-selective evolution: all Kraus operators of all outcomes."""
-    return KrausChannel(kraus=tuple(k for ks in ins.kraus_sets for k in ks))
+    return KrausChannel(kraus=np.concatenate(ins.kraus_sets))
 
 
 def pvm_of_observable(a: np.ndarray, degeneracy_tol: float | None = None) -> Povm:
@@ -273,27 +275,18 @@ def pvm_of_observable(a: np.ndarray, degeneracy_tol: float | None = None) -> Pov
     w, u = np.linalg.eigh(a)
     if degeneracy_tol is None:
         degeneracy_tol = 1e-8 * max(np.linalg.norm(a), 1.0)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, w.size):
-        if w[i] - w[clusters[-1][-1]] <= degeneracy_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    outcomes = []
-    effects = []
-    for idx in clusters:
-        vecs = u[:, idx]
-        effects.append(vecs @ vecs.conj().T)
-        outcomes.append(float(np.mean(w[idx])))
-    return Povm(outcomes=tuple(outcomes), effects=tuple(effects))
+    # eigenvalues are ascending: a new cluster starts at every gap above the tolerance
+    clusters = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > degeneracy_tol) + 1)
+    outcomes = tuple(float(np.mean(w[idx])) for idx in clusters)
+    effects = [u[:, idx] @ dagger(u[:, idx]) for idx in clusters]
+    return Povm(outcomes=outcomes, effects=effects)
 
 
 def outcome_probabilities(s, m: Povm) -> np.ndarray:
     rho = _as_state_matrix(s)
     if m.dim != rho.shape[0]:
         raise InvalidOperandError("state and POVM dimension mismatch")
-    p = np.array([np.trace(rho @ e).real for e in m.effects])
-    return p
+    return np.trace(rho @ m.effects, axis1=1, axis2=2).real
 
 
 def sample_outcomes(s, m: Povm, n: int, seed: int) -> list:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classical import StatisticalModel, StochasticKernel
+from .operator_core import dagger
 from .quantum import CpInstrument, KrausChannel, Povm, QuantumState
 
 
@@ -40,21 +41,20 @@ def random_state(rng: np.random.Generator, dim: int, floor: float = 0.05) -> Qua
 
 def random_povm(rng: np.random.Generator, dim: int, n_effects: int) -> Povm:
     """Random informationally unstructured POVM via symmetric normalization."""
-    raw = [random_complex(rng, (dim, dim)) for _ in range(n_effects)]
-    parts = [g.conj().T @ g for g in raw]
-    total = sum(parts)
-    w, u = np.linalg.eigh(total)
+    # the draws of n_effects random_complex(rng, (dim, dim)) calls in turn
+    z = rng.normal(size=(n_effects, 2, dim, dim))
+    g = z[:, 0] + 1j * z[:, 1]
+    parts = dagger(g) @ g
+    w, u = np.linalg.eigh(parts.sum(axis=0))
     inv_sqrt = u @ np.diag(1.0 / np.sqrt(w)) @ u.conj().T
-    effects = tuple(inv_sqrt @ p @ inv_sqrt for p in parts)
-    return Povm(outcomes=tuple(range(n_effects)), effects=effects)
+    return Povm(outcomes=tuple(range(n_effects)), effects=inv_sqrt @ parts @ inv_sqrt)
 
 
 def random_channel(rng: np.random.Generator, dim: int, n_kraus: int) -> KrausChannel:
     """Haar-style random CPTP map: orthonormal columns split into Kraus blocks."""
     g = random_complex(rng, (n_kraus * dim, dim))
     q, _ = np.linalg.qr(g)
-    kraus = tuple(q[i * dim : (i + 1) * dim] for i in range(n_kraus))
-    return KrausChannel(kraus=kraus)
+    return KrausChannel(kraus=q.reshape(n_kraus, dim, dim))
 
 
 def random_instrument(rng: np.random.Generator, dim: int, n_outcomes: int) -> CpInstrument:
@@ -62,7 +62,7 @@ def random_instrument(rng: np.random.Generator, dim: int, n_outcomes: int) -> Cp
     ch = random_channel(rng, dim, n_outcomes)
     return CpInstrument(
         outcomes=tuple(range(n_outcomes)),
-        kraus_sets=tuple((k,) for k in ch.kraus),
+        kraus_sets=tuple(ch.kraus[:, None]),
     )
 
 

@@ -242,12 +242,13 @@ def _qutrit_trial(rng, dim_max: int, t: int) -> dict:
     ch = random_channel(rng, dim_max, 3)
     a = random_hermitian(rng, dim_max)
     b = random_hermitian(rng, dim_max)
-    js = quantum_fisher(s, SLD_FUNCTION, basis=basis)
+    cr = quantum_cr_check(s, m, basis)
+    js = cr.sld
     js_pushed = quantum_fisher(s, SLD_FUNCTION, pushforward=ch, basis=basis)
     gb = basis.coords(grad_expectation(s, b))
     ga = basis.coords(grad_expectation(s, a))
     return {
-        "quantum_cramer_rao": quantum_cr_check(s, m, basis).holds,
+        "quantum_cramer_rao": cr.holds,
         "sld_monotonicity_min_gap": _loewner_gap(js.matrix, js_pushed.matrix),
         "correlation_identity_max_err": abs(sym_correlation(s, a, b) - js.quad(gb, ga)),
     }
@@ -394,10 +395,11 @@ def _quantum_trial(rng, dim_max: int, t: int) -> dict:
     b = random_hermitian(rng, d)
     ch = random_channel(rng, d, int(rng.integers(1, 4)))
 
-    # one Fisher operator per function; f may itself be the SLD or the RLD
-    fns = {g.name: g for g in (SLD_FUNCTION, RLD_FUNCTION, f)}
-    fisher = {name: quantum_fisher(s, g, basis=basis) for name, g in fns.items()}
-    js, jr, jf = fisher[SLD_FUNCTION.name], fisher[RLD_FUNCTION.name], fisher[f.name]
+    # the Cramer-Rao check builds the SLD and RLD operators; f may be either
+    cr = quantum_cr_check(s, m, basis)
+    js, jr = cr.sld, cr.rld
+    built = {SLD_FUNCTION.name: js, RLD_FUNCTION.name: jr}
+    jf = built[f.name] if f.name in built else quantum_fisher(s, f, basis=basis)
     ld = log_derivative(s, phi, f)
     k = kf_superoperator(s.rho, f)
     jm = fisher_operator(model_from_povm(s, sld_optimal_pvm(s, phi), basis)).matrix
@@ -410,7 +412,7 @@ def _quantum_trial(rng, dim_max: int, t: int) -> dict:
             np.linalg.norm(k.apply(ld.matrix) - phi) / max(np.linalg.norm(phi), 1e-300)
         ),
         "logderiv_zero_mean_max": abs(complex(np.trace(s.rho @ ld.matrix))),
-        "quantum_cramer_rao": quantum_cr_check(s, m, basis).holds,
+        "quantum_cramer_rao": cr.holds,
         "sld_optimal_pvm_max_err": abs(c @ jm @ c - c @ js.matrix @ c),
         "correlation_sld_max_err": abs(sym_correlation(s, a, b) - js.quad(gb, ga)),
         "correlation_rld_max_err": abs(correlation(s, a, b) - complex(gb @ jr.pinv @ ga)),
@@ -464,19 +466,12 @@ def _uncertainty_trial(rng, dim_max: int, t: int) -> dict:
 
     ins = random_instrument(rng, d, int(rng.integers(2, 5)))
     pvm_b = pvm_of_observable(b)
-    joint = joint_povm(ins, pvm_b)
-    marg_x = {}
-    marg_y = {}
-    for (x, y), e in zip(joint.outcomes, joint.effects):
-        marg_x[x] = marg_x.get(x, 0) + e
-        marg_y[y] = marg_y.get(y, 0) + e
-    induced = induced_povm(ins)
-    avg = average_channel(ins)
-    out["joint_marginal_max_err"] = max(
-        [float(np.abs(marg_x[x] - e).max()) for x, e in zip(induced.outcomes, induced.effects)]
-        + [float(np.abs(marg_y[y] - avg.adjoint(e)).max())
-           for y, e in zip(pvm_b.outcomes, pvm_b.effects)]
-    )
+    # joint effects are x-major: axis 0 of the grid is x, axis 1 is y
+    grid = joint_povm(ins, pvm_b).effects.reshape(len(ins.outcomes), len(pvm_b), d, d)
+    out["joint_marginal_max_err"] = float(max(
+        np.abs(grid.sum(axis=1) - induced_povm(ins).effects).max(),
+        np.abs(grid.sum(axis=0) - average_channel(ins).adjoint(pvm_b.effects)).max(),
+    ))
 
     # an instrument with >= d^2 outcomes keeps the induced POVM
     # informationally complete, so the error-disturbance product check

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import FisherOperator, fisher_operator, model_from_povm
 from .errors import InvalidOperandError
-from .operator_core import SLD_FUNCTION, TangentBasis, tangent_basis
+from .operator_core import SLD_FUNCTION, TangentBasis, dagger, tangent_basis
 from .qfisher import quantum_fisher, sld_optimal_pvm
 from .quantum import (
     CpInstrument,
@@ -28,6 +28,7 @@ from .quantum import (
     average_channel,
     grad_expectation,
     induced_povm,
+    kraus_sum,
     sym_correlation,
     variance,
 )
@@ -128,15 +129,11 @@ def joint_povm(ins: CpInstrument, pvm: Povm) -> Povm:
     """
     if not pvm.is_projective():
         raise InvalidOperandError("second argument must be a projective measurement")
-    if pvm.dim != ins.kraus_sets[0][0].shape[0]:
+    if pvm.dim != ins.kraus_sets[0].shape[1]:
         raise InvalidOperandError("instrument output and PVM dimension mismatch")
-    outcomes = []
-    effects = []
-    for x, ks in zip(ins.outcomes, ins.kraus_sets):
-        for y, proj in zip(pvm.outcomes, pvm.effects):
-            outcomes.append((x, y))
-            effects.append(sum(k.conj().T @ proj @ k for k in ks))
-    return Povm(outcomes=tuple(outcomes), effects=tuple(effects))
+    outcomes = tuple((x, y) for x in ins.outcomes for y in pvm.outcomes)
+    effects = np.concatenate([kraus_sum(dagger(ks), pvm.effects) for ks in ins.kraus_sets])
+    return Povm(outcomes=outcomes, effects=effects)
 
 
 @dataclass(frozen=True)

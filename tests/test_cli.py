@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from urlab import scenarios
+from urlab import qfisher, scenarios
 from urlab.cli import main
 from urlab.errors import UrlabError
 from urlab.operator_core import SLD_FUNCTION
@@ -177,6 +177,19 @@ class TestScenarioCommand:
         assert res.output.startswith("Error: ")
 
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_is_click_error(self, runner, tmp_path, kind):
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b'{"seed": 3, "name": "caf\xe9"}')
+        res = runner.invoke(main, ["scenario", "qubit-unsharp", "--config", str(cfg)])
+        assert res.exit_code != 0
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "Error: " in res.output
+
+
 class TestVerifyCommand:
     def test_classical_suite_passes(self, runner):
         res = runner.invoke(
@@ -205,7 +218,8 @@ class TestVerifyCommand:
 
     def test_one_fisher_operator_per_trial_input(self, monkeypatch):
         # each trial builds the Fisher operator of a (state, function,
-        # channel) once and reuses it for every check that needs it
+        # channel) once and reuses it for every check that needs it, the
+        # quantum Cramer-Rao check included
         keys = []
 
         def recording(s, f=SLD_FUNCTION, pushforward=None, basis=None):
@@ -215,6 +229,7 @@ class TestVerifyCommand:
             return quantum_fisher(s, f, pushforward, basis)
 
         monkeypatch.setattr(scenarios, "quantum_fisher", recording)
+        monkeypatch.setattr(qfisher, "quantum_fisher", recording)
         scenarios.run_verify("all", trials=3)
         scenarios.run_scenario(scenarios.ScenarioConfig("qutrit-random", params={"trials": 3}))
         assert keys
@@ -249,3 +264,6 @@ class TestSweepCommand:
     def test_bad_cutoffs(self, runner):
         res = runner.invoke(main, ["sweep", "oscillator", "--cutoffs", "8,x"])
         assert res.exit_code != 0
+        # an empty list is a usage error, not the default sweep
+        res = runner.invoke(main, ["sweep", "oscillator", "--cutoffs", ","])
+        assert res.exit_code == 2, res.output

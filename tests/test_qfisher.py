@@ -152,6 +152,24 @@ def test_fisher_matrix_matches_metric_entries(f):
     np.testing.assert_allclose(j, ref, atol=1e-12 * np.abs(ref).max())
 
 
+def test_pushed_fisher_applies_the_channel_twice(monkeypatch):
+    # once to the state and once to the whole stack of basis elements
+    import urlab.quantum
+
+    shapes = []
+    real = urlab.quantum.apply_channel
+
+    def counting(ch, x):
+        shapes.append(np.shape(x))
+        return real(ch, x)
+
+    monkeypatch.setattr(urlab.quantum, "apply_channel", counting)
+    gen = rng_from_seed(13)
+    s = random_state(gen, 4)
+    quantum_fisher(s, SLD_FUNCTION, pushforward=random_channel(gen, 4, 3))
+    assert shapes == [(4, 4), (15, 4, 4)]
+
+
 def test_sld_optimal_pvm_attains_fisher_form(rng):
     gen = rng_from_seed(8)
     s = random_state(gen, 3)

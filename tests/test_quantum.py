@@ -13,6 +13,7 @@ from urlab import (
     expectation,
     grad_expectation,
     induced_povm,
+    is_hermitian,
     pvm_of_observable,
     sample_outcomes,
     sym_correlation,
@@ -20,6 +21,7 @@ from urlab import (
 )
 from urlab.errors import InvalidOperandError
 from urlab.quantum import identity_channel, outcome_probabilities
+from urlab.randoms import random_complex, rng_from_seed
 from urlab.scenarios import luders_z_instrument, unsharp_z_povm
 
 from conftest import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, qubit_state
@@ -51,6 +53,13 @@ class TestQuantumState:
         with pytest.raises(InvalidOperandError):
             QuantumState(base=np.array([[0.5, 1.0], [0.0, 0.5]]))
 
+    def test_rejects_stack_of_states(self):
+        # Hermiticity checks accept stacks of effects; a state is one matrix
+        with pytest.raises(InvalidOperandError):
+            QuantumState(base=np.array([IDENTITY2 / 2, IDENTITY2 / 2]))
+        with pytest.raises(InvalidOperandError):
+            expectation(np.array([IDENTITY2 / 2, IDENTITY2 / 2]), SIGMA_Z)
+
 
 class TestPovm:
     def test_incomplete_rejected(self):
@@ -65,6 +74,14 @@ class TestPovm:
         pvm = pvm_of_observable(SIGMA_Z)
         assert pvm.is_projective()
         assert not unsharp_z_povm(0.8).is_projective()
+
+    def test_hermiticity_is_checked_per_effect(self):
+        # a large effect must not loosen the check of a small one in the stack
+        small = np.array([[0.5, 1e-9], [0.0, 0.5]])
+        assert is_hermitian(np.array([1e6 * IDENTITY2, IDENTITY2]))
+        assert not is_hermitian(np.array([1e6 * IDENTITY2, small]))
+        with pytest.raises(InvalidOperandError, match="not Hermitian"):
+            Povm(outcomes=(0, 1), effects=(1e6 * IDENTITY2, small))
 
     def test_grid_kind_uses_looser_completeness(self):
         # a defect of 1e-7 passes as grid but fails as discrete
@@ -91,6 +108,26 @@ class TestKrausChannel:
         lhs = np.trace(ch(x) @ y)
         rhs = np.trace(x @ ch.adjoint(y))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_channel_and_adjoint_apply_to_stacks(self):
+        # a rectangular channel from a qutrit to a qubit, applied to a
+        # (2, 4, d, d) stack, against per-matrix Kraus sums
+        gen = rng_from_seed(12)
+        ch = KrausChannel(kraus=np.linalg.qr(random_complex(gen, (6, 3)))[0].reshape(3, 2, 3))
+        xs = random_complex(gen, (2, 4, 3, 3))
+        ys = random_complex(gen, (2, 4, 2, 2))
+        images = ch(xs)
+        preimages = ch.adjoint(ys)
+        assert images.shape == ys.shape and preimages.shape == xs.shape
+        for idx in np.ndindex(2, 4):
+            naive = sum(k @ xs[idx] @ k.conj().T for k in ch.kraus)
+            np.testing.assert_allclose(images[idx], naive, rtol=0, atol=1e-14)
+            naive = sum(k.conj().T @ ys[idx] @ k for k in ch.kraus)
+            np.testing.assert_allclose(preimages[idx], naive, rtol=0, atol=1e-14)
+        with pytest.raises(InvalidOperandError):
+            ch(ys)
+        with pytest.raises(InvalidOperandError):
+            ch.adjoint(xs)
 
     def test_identity_channel(self, rng):
         ch = identity_channel(3)
@@ -163,6 +200,20 @@ def test_outcome_probabilities_and_sampling():
     assert draws == sample_outcomes(rho, pvm, 20000, seed=7)
     freq = sum(1 for d in draws if d == pvm.outcomes[1]) / len(draws)
     assert freq == pytest.approx(probs[1], abs=0.02)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Povm(outcomes=(), effects=()),
+        lambda: KrausChannel(kraus=(np.ones(2),)),
+        lambda: CpInstrument(outcomes=(0, 1), kraus_sets=((), (np.eye(2),))),
+    ],
+    ids=["povm-without-effects", "vector-kraus-operator", "empty-kraus-set"],
+)
+def test_malformed_operator_family_is_invalid_operand(build):
+    with pytest.raises(InvalidOperandError):
+        build()
 
 
 def test_instrument_requires_trace_preserving_total():

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from urlab import (
+    CpInstrument,
     Povm,
     disturbance,
     error_disturbance_report,
     error_error_report,
+    induced_povm,
     instrument_error_disturbance,
     joint_povm,
     measurement_error,
@@ -18,7 +20,13 @@ from urlab import (
 )
 from urlab.errors import InvalidOperandError
 from urlab.quantum import identity_channel
-from urlab.randoms import random_hermitian, random_instrument, random_state, rng_from_seed
+from urlab.randoms import (
+    random_channel,
+    random_hermitian,
+    random_instrument,
+    random_state,
+    rng_from_seed,
+)
 from urlab.scenarios import (
     depolarizing_channel,
     luders_z_instrument,
@@ -108,6 +116,24 @@ class TestJointPovm:
         joint = joint_povm(ins, pvm)
         for e_joint, e_pvm in zip(joint.effects, pvm.effects):
             np.testing.assert_allclose(e_joint, e_pvm, atol=1e-12)
+
+    def test_induced_and_joint_povm_equal_explicit_sums(self):
+        # two Kraus operators per outcome, so every effect sums two terms
+        gen = rng_from_seed(28)
+        kraus = random_channel(gen, 3, 6).kraus
+        ins = CpInstrument(outcomes=("a", "b", "c"), kraus_sets=(kraus[:2], kraus[2:4], kraus[4:]))
+        pvm = pvm_of_observable(random_hermitian(gen, 3))
+        induced = induced_povm(ins)
+        joint = joint_povm(ins, pvm)
+        assert induced.outcomes == ins.outcomes
+        assert joint.outcomes == tuple((x, y) for x in ins.outcomes for y in pvm.outcomes)
+        for ks, e in zip(ins.kraus_sets, induced.effects):
+            np.testing.assert_allclose(e, sum(k.conj().T @ k for k in ks), rtol=0, atol=1e-14)
+        for (x, y), e in zip(joint.outcomes, joint.effects):
+            ks = ins.kraus_sets[ins.outcomes.index(x)]
+            proj = pvm.effects[pvm.outcomes.index(y)]
+            naive = sum(k.conj().T @ proj @ k for k in ks)
+            np.testing.assert_allclose(e, naive, rtol=0, atol=1e-14)
 
     def test_rejects_non_projective_second_argument(self):
         with pytest.raises(InvalidOperandError):
