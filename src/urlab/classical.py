@@ -145,7 +145,7 @@ def model_from_povm(
     if basis is None:
         basis = tangent_basis(d)
     probs = np.einsum("ij,xji->x", rho, m.effects).real
-    numer = np.einsum("aij,xji->xa", basis.elements, m.effects).real
+    numer = basis.coords(m.effects)
     keep = probs > P_FLOOR
     singular = ~keep & (np.linalg.norm(m.effects, axis=(1, 2)) > 1e-10)
     if singular.any():

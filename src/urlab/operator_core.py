@@ -10,6 +10,7 @@ state, together with its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,30 +74,71 @@ def project_traceless(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TangentBasis:
-    """Orthonormal basis of the traceless Hermitian d x d matrices.
+    """Orthonormal basis of the traceless Hermitian d x d matrices, held implicitly.
 
     The ordering is fixed: symmetric off-diagonal pairs (row-major),
     antisymmetric off-diagonal pairs (row-major), then diagonal elements
     (generalized Gell-Mann diagonals), so coordinate vectors are reproducible
-    across runs.
+    across runs.  Only index maps are kept, built from the (j < k) pairs and
+    the (d - 1) x d Gell-Mann diagonal block: the support of each element is
+    one segment of a gather list.  inner and coords are one gather over the
+    last two axes and one segmented sum, O(d^2) per matrix, and matrix is the
+    inverse scatter.  The dense elements are built only on request.
     """
 
     dim: int
-    elements: np.ndarray  # shape (dim^2 - 1, dim, dim)
+
+    def __post_init__(self):
+        d = self.dim
+        if d < 2:
+            raise InvalidDimensionError(f"dim must be >= 2, got {d}")
+        n = np.arange(d)
+        rows, cols = np.nonzero(n[:, None] < n)  # the (j < k) pairs, row-major
+        p = rows.size
+        pair_r, pair_c = np.stack([rows, cols], 1).ravel(), np.stack([cols, rows], 1).ravel()
+        # Gell-Mann row l - 1 is (1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)) with l ones
+        gl, gi = np.nonzero(n[:-1, None] + 1 >= n)  # its support, row by row
+        gell_mann = np.where(gi > gl, -(gl + 1.0), 1.0) / np.sqrt((gl + 1.0) * (gl + 2.0))
+        # conj(e_a) on its support: (y_jk + y_kj) / sqrt 2, i (y_jk - y_kj) / sqrt 2, G diag(y)
+        gather = (np.concatenate([pair_r, pair_r, gi]), np.concatenate([pair_c, pair_c, gi]))
+        weights = np.concatenate(
+            [np.full(2 * p, 1 / np.sqrt(2)), np.array([1j, -1j] * p) / np.sqrt(2), gell_mann]
+        )
+        lengths = np.concatenate([np.full(2 * p, 2), n[1:] + 1])
+        object.__setattr__(self, "_gather", gather)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_starts", np.cumsum(lengths) - lengths)
 
     @property
     def size(self) -> int:
         return self.dim * self.dim - 1
 
+    def inner(self, y: np.ndarray) -> np.ndarray:
+        """Tr[e_a^H y] for every element e_a and every matrix y of a (..., d, d) stack."""
+        g = np.asarray(y, dtype=complex)[..., self._gather[0], self._gather[1]]
+        g *= self._weights
+        return np.add.reduceat(g, self._starts, axis=-1)
+
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """Real coordinates of a traceless Hermitian matrix in this basis."""
-        x = np.asarray(x, dtype=complex)
-        return np.einsum("aij,ij->a", self.elements.conj(), x).real
+        """Real coordinates Re Tr[e_a^H x] of every matrix x of a (..., d, d) stack.
+
+        For a Hermitian x these are the coordinates of its traceless part.
+        """
+        return self.inner(x).real
 
     def matrix(self, coords: Sequence[float]) -> np.ndarray:
-        """Reassemble the matrix with the given coordinates."""
+        """sum_a c_a e_a for every coordinate vector of a (..., d^2 - 1) stack."""
         c = np.asarray(coords)
-        return np.einsum("a,aij->ij", c, self.elements)
+        values = np.repeat(c, self._lengths, axis=-1) * self._weights.conj()
+        out = np.zeros(c.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        np.add.at(out, (..., *self._gather), values)
+        return out
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """The dense (d^2 - 1, d, d) stack of elements: O(d^4) memory."""
+        return self.matrix(np.eye(self.size))
 
 
 def tangent_basis(dim: int) -> TangentBasis:
@@ -104,26 +146,7 @@ def tangent_basis(dim: int) -> TangentBasis:
 
     For dim=2 this is the Pauli basis divided by sqrt(2).
     """
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    mats = []
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2)
-            mats.append(m)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2)
-            m[k, j] = 1j / np.sqrt(2)
-            mats.append(m)
-    for l in range(1, dim):
-        diag = np.zeros(dim)
-        diag[:l] = 1.0
-        diag[l] = -float(l)
-        mats.append(np.diag(diag / np.linalg.norm(diag)).astype(complex))
-    return TangentBasis(dim=dim, elements=np.array(mats))
+    return TangentBasis(dim)
 
 
 @dataclass(frozen=True)

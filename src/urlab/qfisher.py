@@ -70,27 +70,32 @@ def quantum_fisher(
     """f-Fisher information operator of the affine family (optionally pushed).
 
     Without a pushforward the entries are Tr[e_a L^f(e_b)] at the given state.
-    With a channel E the model becomes theta -> E(rho0 + theta), so both the
-    state and the basis directions are pushed through E before the solve.
+    With a channel E the model becomes theta -> E(rho0 + theta): the state is
+    pushed through E and the basis directions through its Kraus operators.
     In the eigenbasis u of the state sigma the entries are Tr[h_a^H h_b] with
-    h_a = (u^H X_a u) / sqrt(c_f), so the h_a are the columns of a Gram factor.
+    h_a = (u^H E(e_a) u) / sqrt(c_f), so the h_a are the columns of a Gram factor.
+    With K' = u^H K (K' = u^H without a channel), the Choi-form tensor
+    t[i,j,m,k] = sum_l K'_l[i,j] conj(K'_l[m,k]) is one matmul, and
+    (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] is basis.inner of t with
+    axes ordered (i, m, k, j), because e_a is Hermitian.
     """
     rho = _as_state_matrix(s)
     d = rho.shape[0]
     if basis is None:
         basis = tangent_basis(d)
-    sigma, images = rho, basis.elements
-    if pushforward is not None:
-        sigma, images = pushforward(rho), pushforward(basis.elements)
+    sigma = rho if pushforward is None else pushforward(rho)
     k = kf_superoperator(sigma, f)
-    u = k.state_eigenvectors
-    h = (u.conj().T @ images @ u) / np.sqrt(k.coefficients)
+    uh = k.state_eigenvectors.conj().T
+    kp = uh[None] if pushforward is None else uh @ pushforward.kraus
+    dp = kp.shape[1]
+    flat = kp.reshape(kp.shape[0], dp * d)
+    t = (flat.T @ flat.conj()).reshape(dp, d, dp, d)
+    h = basis.inner(t.transpose(0, 2, 3, 1)) / np.sqrt(k.coefficients)[..., None]  # h[i, m, a]
     if f.name == SLD_FUNCTION.name:
-        # h_a is Hermitian: its d^2 real coordinates carry the real form Tr[h_a h_b]
-        upper = np.triu_indices(h.shape[1], 1)
-        off = np.sqrt(2) * h[:, upper[0], upper[1]]
-        h = np.concatenate([np.diagonal(h, axis1=1, axis2=2).real, off.real, off.imag], axis=1)
-    return FisherOperator(h.reshape(h.shape[0], -1).T)
+        # h_a is Hermitian: its d'^2 real coordinates carry the real form Tr[h_a h_b]
+        off = np.sqrt(2) * h[np.triu_indices(dp, 1)]
+        return FisherOperator(np.concatenate([h[range(dp), range(dp)].real, off.real, off.imag]))
+    return FisherOperator(h.reshape(dp * dp, -1))
 
 
 @dataclass(frozen=True)

@@ -175,10 +175,8 @@ class UncertaintyReport:
         return self.margin >= 0
 
 
-def _r_term(rho, a, b, j, basis) -> float:
-    """R^M(A, B) = (grad<A>, (J^M)^+ grad<B>) - C^S(A, B)."""
-    ga = basis.coords(grad_expectation(rho, a))
-    gb = basis.coords(grad_expectation(rho, b))
+def _r_term(rho, a, b, j, ga, gb) -> float:
+    """R^M(A, B) = (grad<A>, (J^M)^+ grad<B>) - C^S(A, B), from the gradient coordinates."""
     return j.quad(ga, gb) - sym_correlation(rho, a, b)
 
 
@@ -199,12 +197,12 @@ def error_error_report(
     if basis is None:
         basis = tangent_basis(rho.shape[0])
     j = fisher_operator(model_from_povm(rho, m, basis))
-    eps_a = _error_from_operator(j, basis.coords(grad_expectation(rho, a)), variance(rho, a))
-    eps_b = _error_from_operator(j, basis.coords(grad_expectation(rho, b)), variance(rho, b))
+    ga = basis.coords(grad_expectation(rho, a))
+    gb = basis.coords(grad_expectation(rho, b))
     return UncertaintyReport(
-        eps_a=eps_a,
-        eps_or_eta_b=eps_b,
-        r_term=_r_term(rho, a, b, j, basis),
+        eps_a=_error_from_operator(j, ga, variance(rho, a)),
+        eps_or_eta_b=_error_from_operator(j, gb, variance(rho, b)),
+        r_term=_r_term(rho, a, b, j, ga, gb),
         commutator_term=_commutator_term(rho, a, b),
         relation="error-error",
     )
@@ -274,7 +272,7 @@ def error_disturbance_report(
     return ErrorDisturbanceReport(
         eps_a=eps_a,
         eps_or_eta_b=eta_b,
-        r_term=_r_term(rho, a, b, j_joint, basis),
+        r_term=_r_term(rho, a, b, j_joint, ga, gb),
         commutator_term=_commutator_term(rho, a, b),
         relation="error-disturbance",
         eps_a_joint=eps_a_joint,

@@ -10,6 +10,8 @@ from urlab import (
     RLD_FUNCTION,
     SLD_FUNCTION,
     MonotoneFunction,
+    TangentBasis,
+    error_disturbance_report,
     hs_inner,
     is_hermitian,
     kf_superoperator,
@@ -24,6 +26,8 @@ from urlab.errors import (
     SingularStateError,
     UrlabError,
 )
+from urlab.randoms import random_hermitian, random_instrument, random_state, rng_from_seed
+from urlab.scenarios import ScenarioConfig, run_scenario
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, qubit_state
 
@@ -60,6 +64,67 @@ def test_coords_matrix_round_trip(rng):
     x = basis.matrix(coeffs)
     np.testing.assert_allclose(basis.coords(x), coeffs, atol=1e-12)
     np.testing.assert_allclose(basis.matrix(basis.coords(x)), x, atol=1e-12)
+
+
+def _dense_basis(dim):
+    # the explicit element-by-element construction, in the documented order
+    mats = []
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[j, k] = m[k, j] = 1.0 / np.sqrt(2)
+            mats.append(m)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[j, k] = -1j / np.sqrt(2)
+            m[k, j] = 1j / np.sqrt(2)
+            mats.append(m)
+    for l in range(1, dim):
+        diag = np.zeros(dim)
+        diag[:l] = 1.0
+        diag[l] = -float(l)
+        mats.append(np.diag(diag / np.linalg.norm(diag)).astype(complex))
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_stacked_coords_and_matrix_match_dense_basis(dim):
+    gen = rng_from_seed(20 + dim)
+    basis = tangent_basis(dim)
+    dense = _dense_basis(dim)
+    np.testing.assert_allclose(basis.elements, dense, atol=1e-15)
+    x = np.array([[random_hermitian(gen, dim) for _ in range(7)] for _ in range(2)])
+    for stack in (x[0], x):
+        want = np.einsum("aij,...ij->...a", dense.conj(), stack).real
+        np.testing.assert_allclose(basis.coords(stack), want, atol=1e-14)
+        c = gen.normal(size=stack.shape[:-2] + (basis.size,))
+        np.testing.assert_allclose(basis.matrix(c), np.einsum("...a,aij->...ij", c, dense), atol=1e-14)
+    # a matrix with nonzero trace has the coordinates of its traceless part
+    y = x[0, 0] + 3.0 * np.eye(dim)
+    np.testing.assert_allclose(basis.coords(y), basis.coords(project_traceless(y)), atol=1e-14)
+    np.testing.assert_allclose(basis.matrix(basis.coords(y)), project_traceless(y), atol=1e-14)
+
+
+def test_report_paths_never_build_the_dense_basis(monkeypatch):
+    # the dense elements take O(d^4) memory; only tests may ask for them
+    built = []
+    real = TangentBasis.__post_init__
+
+    def recording(self):
+        real(self)
+        built.append(self)
+
+    monkeypatch.setattr(TangentBasis, "__post_init__", recording)
+    gen = rng_from_seed(16)
+    d = 4
+    error_disturbance_report(
+        random_state(gen, d), random_hermitian(gen, d), random_hermitian(gen, d),
+        random_instrument(gen, d, 3),
+    )
+    run_scenario(ScenarioConfig(name="oscillator", cutoffs=(8, 12)))
+    assert {b.dim for b in built} >= {4, 8, 12}
+    assert all("elements" not in b.__dict__ for b in built)
 
 
 def test_project_traceless(rng):

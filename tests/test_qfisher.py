@@ -7,6 +7,7 @@ from urlab import (
     BOGOLIUBOV_FUNCTION,
     RLD_FUNCTION,
     SLD_FUNCTION,
+    KrausChannel,
     correlation,
     fisher_operator,
     grad_expectation,
@@ -152,8 +153,23 @@ def test_fisher_matrix_matches_metric_entries(f):
     np.testing.assert_allclose(j, ref, atol=1e-12 * np.abs(ref).max())
 
 
-def test_pushed_fisher_applies_the_channel_twice(monkeypatch):
-    # once to the state and once to the whole stack of basis elements
+@pytest.mark.parametrize("f", [SLD_FUNCTION, RLD_FUNCTION, BOGOLIUBOV_FUNCTION])
+@pytest.mark.parametrize("d_in, d_out, n_kraus", [(2, 3, 2), (3, 2, 3)])
+def test_pushed_fisher_matches_metric_entries_on_non_square_channels(f, d_in, d_out, n_kraus):
+    # the Choi-form factor reshapes (k, d', d) Kraus stacks; d' != d tells the axes apart
+    gen = rng_from_seed(12)
+    z = gen.normal(size=(n_kraus * d_out, d_in)) + 1j * gen.normal(size=(n_kraus * d_out, d_in))
+    ch = KrausChannel(kraus=np.linalg.qr(z)[0].reshape(n_kraus, d_out, d_in))
+    s = random_state(gen, d_in)
+    basis = tangent_basis(d_in)
+    sigma = ch(s.rho)
+    images = [ch(e) for e in basis.elements]
+    ref = np.array([[monotone_metric_value(sigma, f, x, y) for y in images] for x in images])
+    j = quantum_fisher(s, f, pushforward=ch, basis=basis).matrix
+    np.testing.assert_allclose(j, ref, atol=1e-12 * np.abs(ref).max())
+
+def test_pushed_fisher_applies_the_channel_once(monkeypatch):
+    # to the state only: the basis directions go through the Kraus operators
     import urlab.quantum
 
     shapes = []
@@ -167,7 +183,7 @@ def test_pushed_fisher_applies_the_channel_twice(monkeypatch):
     gen = rng_from_seed(13)
     s = random_state(gen, 4)
     quantum_fisher(s, SLD_FUNCTION, pushforward=random_channel(gen, 4, 3))
-    assert shapes == [(4, 4), (15, 4, 4)]
+    assert shapes == [(4, 4)]
 
 
 def test_sld_optimal_pvm_attains_fisher_form(rng):
