@@ -38,7 +38,6 @@ from .operator_core import (
     tangent_basis,
 )
 from .qfisher import (
-    LogDerivative,
     log_derivative,
     monotone_metric_value,
     quantum_cr_check,

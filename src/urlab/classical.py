@@ -107,8 +107,9 @@ class FisherOperator:
         a = np.asarray(a)
         return float(np.linalg.norm(a - self._vh.conj().T @ (self._vh @ a)))
 
-    def in_range(self, a: np.ndarray, rtol: float = 1e-8) -> bool:
-        return self.kernel_violation(a) <= rtol * max(np.linalg.norm(a), 1e-300)
+    def in_range(self, a: np.ndarray) -> bool:
+        """Whether a's kernel violation is at most 1e-8 of its norm: (a, J^+ a) is finite."""
+        return self.kernel_violation(a) <= 1e-8 * max(np.linalg.norm(a), 1e-300)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import InvalidDimensionError, InvalidOperandError, SingularStateErr
 # treated as a singular state and rejected.
 EPS_POS = 1e-10
 
-# Default relative tolerance for hermiticity checks.
+# Relative tolerance for hermiticity checks.
 HERM_RTOL = 1e-12
 
 
@@ -30,16 +30,16 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.conj(a), -1, -2)
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERM_RTOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     """Whether a matrix, or each matrix of a stack (..., d, d), is Hermitian.
 
-    Each is held to rtol times its own max(|a|_max, 1), not the stack's.
+    Each is held to HERM_RTOL times its own max(|a|_max, 1), not the stack's.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.size:
         return False
     scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
-    return bool(np.all(np.abs(a - dagger(a)).max(axis=(-2, -1)) <= rtol * scale))
+    return bool(np.all(np.abs(a - dagger(a)).max(axis=(-2, -1)) <= HERM_RTOL * scale))
 
 
 def require_hermitian(a: np.ndarray, what: str = "operand") -> np.ndarray:
@@ -79,11 +79,10 @@ class TangentBasis:
     The ordering is fixed: symmetric off-diagonal pairs (row-major),
     antisymmetric off-diagonal pairs (row-major), then diagonal elements
     (generalized Gell-Mann diagonals), so coordinate vectors are reproducible
-    across runs.  Only index maps are kept, built from the (j < k) pairs and
-    the (d - 1) x d Gell-Mann diagonal block: the support of each element is
-    one segment of a gather list.  inner and coords are one gather over the
-    last two axes and one segmented sum, O(d^2) per matrix, and matrix is the
-    inverse scatter.  The dense elements are built only on request.
+    across runs.  Only the (j < k) index pair and the (d - 1) x d Gell-Mann
+    matrix G are kept.  inner reads each entry of a matrix once, O(d^2) per
+    matrix, and matrix is two scatters and a product with G.  The dense
+    elements are built only on request.
     """
 
     dim: int
@@ -92,33 +91,34 @@ class TangentBasis:
         d = self.dim
         if d < 2:
             raise InvalidDimensionError(f"dim must be >= 2, got {d}")
-        n = np.arange(d)
-        rows, cols = np.nonzero(n[:, None] < n)  # the (j < k) pairs, row-major
-        p = rows.size
-        pair_r, pair_c = np.stack([rows, cols], 1).ravel(), np.stack([cols, rows], 1).ravel()
         # Gell-Mann row l - 1 is (1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)) with l ones
-        gl, gi = np.nonzero(n[:-1, None] + 1 >= n)  # its support, row by row
-        gell_mann = np.where(gi > gl, -(gl + 1.0), 1.0) / np.sqrt((gl + 1.0) * (gl + 2.0))
-        # conj(e_a) on its support: (y_jk + y_kj) / sqrt 2, i (y_jk - y_kj) / sqrt 2, G diag(y)
-        gather = (np.concatenate([pair_r, pair_r, gi]), np.concatenate([pair_c, pair_c, gi]))
-        weights = np.concatenate(
-            [np.full(2 * p, 1 / np.sqrt(2)), np.array([1j, -1j] * p) / np.sqrt(2), gell_mann]
-        )
-        lengths = np.concatenate([np.full(2 * p, 2), n[1:] + 1])
-        object.__setattr__(self, "_gather", gather)
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_lengths", lengths)
-        object.__setattr__(self, "_starts", np.cumsum(lengths) - lengths)
+        n, l = np.arange(d), np.arange(1.0, d)[:, None]
+        gell_mann = np.where(n < l, 1.0, np.where(n == l, -l, 0.0)) / np.sqrt(l * (l + 1))
+        object.__setattr__(self, "_pairs", np.triu_indices(d, 1))
+        object.__setattr__(self, "_gell_mann", gell_mann)
 
     @property
     def size(self) -> int:
         return self.dim * self.dim - 1
 
     def inner(self, y: np.ndarray) -> np.ndarray:
-        """Tr[e_a^H y] for every element e_a and every matrix y of a (..., d, d) stack."""
-        g = np.asarray(y, dtype=complex)[..., self._gather[0], self._gather[1]]
-        g *= self._weights
-        return np.add.reduceat(g, self._starts, axis=-1)
+        """Tr[e_a^H y] for every element e_a and every matrix y of a (..., d, d) stack.
+
+        With up = y_jk / sqrt 2 and lo = y_kj / sqrt 2 over the pairs j < k:
+        up + lo, i (up - lo), then G diag(y).
+        """
+        y, w = np.asarray(y), 1 / 2**0.5
+        j, k = self._pairs
+        p = j.size
+        up, lo = y[..., j, k] * w, y[..., k, j] * w
+        # entry-major memory, the layout numpy gives the gathers, so no ufunc transposes
+        lead = y.shape[:-2]
+        out = np.empty((self.size,) + lead, dtype=complex).transpose(*range(1, len(lead) + 1), 0)
+        np.add(up, lo, out=out[..., :p])
+        np.subtract(up, lo, out=out[..., p : 2 * p])
+        out[..., p : 2 * p] *= 1j
+        np.matmul(y.diagonal(0, -2, -1), self._gell_mann.T, out=out[..., 2 * p :])
+        return out
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Real coordinates Re Tr[e_a^H x] of every matrix x of a (..., d, d) stack.
@@ -129,10 +129,14 @@ class TangentBasis:
 
     def matrix(self, coords: Sequence[float]) -> np.ndarray:
         """sum_a c_a e_a for every coordinate vector of a (..., d^2 - 1) stack."""
-        c = np.asarray(coords)
-        values = np.repeat(c, self._lengths, axis=-1) * self._weights.conj()
-        out = np.zeros(c.shape[:-1] + (self.dim, self.dim), dtype=complex)
-        np.add.at(out, (..., *self._gather), values)
+        c, w = np.asarray(coords), 1 / 2**0.5
+        d, (j, k) = self.dim, self._pairs
+        p = j.size
+        s, ia = c[..., :p] * w, 1j * (c[..., p : 2 * p] * w)
+        out = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+        out[..., j, k] = s - ia
+        out[..., k, j] = s + ia
+        out.reshape(c.shape[:-1] + (d * d,))[..., :: d + 1] = c[..., 2 * p :] @ self._gell_mann
         return out
 
     @cached_property
@@ -158,25 +162,21 @@ class PinvResult:
     kernel_basis: np.ndarray  # shape (n, n - rank); columns span the null space
 
 
-def mp_inverse(s: np.ndarray, rank_tol: float | str = "auto") -> PinvResult:
+def mp_inverse(s: np.ndarray) -> PinvResult:
     """Moore-Penrose pseudoinverse via SVD with an explicit rank cutoff.
 
-    rank_tol="auto" uses dim * machine-epsilon * sigma_max, the standard
-    numerically stable choice.  The returned matrix satisfies the four Penrose
-    conditions up to roundoff; the kernel basis spans the numerical null space
-    of s (right singular vectors of the discarded singular values).
+    Singular values at or below dim * machine-epsilon * sigma_max, the
+    standard numerically stable choice, are cut.  The returned matrix
+    satisfies the four Penrose conditions up to roundoff; the kernel basis
+    spans the numerical null space of s (right singular vectors of the
+    discarded singular values).
     """
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidOperandError("pseudoinverse argument is not a square matrix")
     n = s.shape[0]
     u, sv, vh = np.linalg.svd(s)
-    if rank_tol == "auto":
-        tol = n * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    else:
-        tol = float(rank_tol)
-        if tol <= 0:
-            raise InvalidOperandError("rank_tol must be positive or 'auto'")
+    tol = n * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > tol))
     inv_sv = np.zeros_like(sv)
     inv_sv[:rank] = 1.0 / sv[:rank]

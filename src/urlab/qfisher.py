@@ -36,19 +36,10 @@ from .quantum import (
 )
 
 
-@dataclass(frozen=True)
-class LogDerivative:
-    """Solution L of K^f_rho(L) = phi for a tangent direction phi."""
-
-    direction: np.ndarray
-    kind: str
-    matrix: np.ndarray
-
-
 def log_derivative(
     s: QuantumState | np.ndarray, phi: np.ndarray, f: MonotoneFunction = SLD_FUNCTION
-) -> LogDerivative:
-    """The f-logarithmic derivative in the direction phi.
+) -> np.ndarray:
+    """The f-logarithmic derivative L in the direction phi: K^f_rho(L) = phi.
 
     For the SLD function this solves (rho L + L rho) / 2 = phi and is
     Hermitian; for the RLD function it equals rho^{-1} phi.
@@ -57,8 +48,7 @@ def log_derivative(
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != rho.shape:
         raise InvalidOperandError("direction dimension mismatch")
-    k = kf_superoperator(rho, f)
-    return LogDerivative(direction=phi, kind=f.name, matrix=k.apply_inverse(phi))
+    return kf_superoperator(rho, f).apply_inverse(phi)
 
 
 def quantum_fisher(
@@ -143,7 +133,7 @@ def sld_optimal_pvm(s: QuantumState | np.ndarray, phi: np.ndarray) -> Povm:
     solved from a near-singular Fisher operator) carries a rounding residue
     that would fail the Hermiticity check.
     """
-    l = log_derivative(s, phi, SLD_FUNCTION).matrix
+    l = log_derivative(s, phi, SLD_FUNCTION)
     return pvm_of_observable((l + l.conj().T) / 2)
 
 

@@ -45,9 +45,7 @@ class QuantumState:
                 raise InvalidOperandError("displacement shape mismatch")
             if abs(np.trace(disp)) > 1e-12 * max(1.0, np.abs(disp).max()):
                 raise InvalidOperandError("displacement is not traceless")
-        rho = base + disp
-        if abs(np.trace(rho).real - 1.0) > 1e-12 * base.shape[0]:
-            raise InvalidOperandError(f"trace is {np.trace(rho).real}, expected 1")
+        rho = _require_unit_trace(base + disp)
         if np.linalg.eigvalsh(rho).min() < EPS_POS:
             raise InvalidOperandError(
                 f"state not strictly positive (floor {EPS_POS:.0e})"
@@ -62,6 +60,13 @@ class QuantumState:
     @property
     def dim(self) -> int:
         return self.base.shape[0]
+
+
+def _require_unit_trace(rho: np.ndarray) -> np.ndarray:
+    trace = rho.trace().real
+    if abs(trace - 1.0) > 1e-12 * rho.shape[0]:
+        raise InvalidOperandError(f"trace is {trace}, expected 1")
+    return rho
 
 
 def _operator_stack(ops, what: str) -> np.ndarray:
@@ -115,10 +120,11 @@ class Povm:
     def __len__(self) -> int:
         return len(self.effects)
 
-    def is_projective(self, tol: float = 1e-8) -> bool:
+    def is_projective(self) -> bool:
+        """Whether every effect E has |E^2 - E|_max <= 1e-8 max(|E|_max, 1)."""
         e = self.effects
         scale = np.maximum(np.abs(e).max(axis=(1, 2)), 1.0)
-        return bool(np.all(np.abs(e @ e - e).max(axis=(1, 2)) <= tol * scale))
+        return bool(np.all(np.abs(e @ e - e).max(axis=(1, 2)) <= 1e-8 * scale))
 
 
 @dataclass(frozen=True)
@@ -182,7 +188,10 @@ class CpInstrument:
 
 
 def _as_state_matrix(s) -> np.ndarray:
-    return s.rho if isinstance(s, QuantumState) else require_hermitian(s, "state")
+    """The density matrix of a QuantumState, or a Hermitian unit-trace matrix as is."""
+    if isinstance(s, QuantumState):
+        return s.rho
+    return _require_unit_trace(require_hermitian(s, "state"))
 
 
 def expectation(s, a: np.ndarray) -> float:
@@ -264,19 +273,18 @@ def average_channel(ins: CpInstrument) -> KrausChannel:
     return KrausChannel(kraus=np.concatenate(ins.kraus_sets))
 
 
-def pvm_of_observable(a: np.ndarray, degeneracy_tol: float | None = None) -> Povm:
+def pvm_of_observable(a: np.ndarray) -> Povm:
     """Spectral measure of a Hermitian matrix, with degenerate levels clustered.
 
-    Eigenvalues closer than degeneracy_tol (default 1e-8 * ||A||) are merged
-    into a single spectral projection; outcome labels are the mean eigenvalues
-    of each cluster.
+    Eigenvalues closer than 1e-8 * max(||A||, 1) are merged into a single
+    spectral projection; outcome labels are the mean eigenvalues of each
+    cluster.
     """
     a = require_hermitian(a, "observable")
     w, u = np.linalg.eigh(a)
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-8 * max(np.linalg.norm(a), 1.0)
+    tol = 1e-8 * max(np.linalg.norm(a), 1.0)
     # eigenvalues are ascending: a new cluster starts at every gap above the tolerance
-    clusters = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > degeneracy_tol) + 1)
+    clusters = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > tol) + 1)
     outcomes = tuple(float(np.mean(w[idx])) for idx in clusters)
     effects = [u[:, idx] @ dagger(u[:, idx]) for idx in clusters]
     return Povm(outcomes=outcomes, effects=effects)

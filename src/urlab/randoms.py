@@ -26,16 +26,16 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
-def random_state(rng: np.random.Generator, dim: int, floor: float = 0.05) -> QuantumState:
+def random_state(rng: np.random.Generator, dim: int) -> QuantumState:
     """Random full-rank density matrix, mixed with the maximally mixed state.
 
-    The floor keeps eigenvalues away from zero so superoperator solves stay
-    well conditioned.
+    The mixing weight 0.05 is a floor that keeps eigenvalues away from zero
+    so superoperator solves stay well conditioned.
     """
     g = random_complex(rng, (dim, dim))
     rho = g @ g.conj().T
     rho = rho / np.trace(rho).real
-    rho = (1 - floor) * rho + floor * np.eye(dim) / dim
+    rho = 0.95 * rho + 0.05 * np.eye(dim) / dim
     return QuantumState(base=rho)
 
 

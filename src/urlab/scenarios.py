@@ -409,9 +409,9 @@ def _quantum_trial(rng, dim_max: int, t: int) -> dict:
     jf_pushed = quantum_fisher(s, f, pushforward=ch, basis=basis)
     return {
         "logderiv_residual_max": (
-            np.linalg.norm(k.apply(ld.matrix) - phi) / max(np.linalg.norm(phi), 1e-300)
+            np.linalg.norm(k.apply(ld) - phi) / max(np.linalg.norm(phi), 1e-300)
         ),
-        "logderiv_zero_mean_max": abs(complex(np.trace(s.rho @ ld.matrix))),
+        "logderiv_zero_mean_max": abs(complex(np.trace(s.rho @ ld))),
         "quantum_cramer_rao": cr.holds,
         "sld_optimal_pvm_max_err": abs(c @ jm @ c - c @ js.matrix @ c),
         "correlation_sld_max_err": abs(sym_correlation(s, a, b) - js.quad(gb, ga)),

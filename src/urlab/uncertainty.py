@@ -33,10 +33,6 @@ from .quantum import (
     variance,
 )
 
-# Relative kernel-membership threshold for declaring an error infinite.
-KERNEL_RTOL = 1e-8
-
-
 @dataclass(frozen=True)
 class ErrorResult:
     """Outcome of a measurement-error or disturbance computation.
@@ -58,12 +54,12 @@ class ErrorResult:
         return math.inf if self.is_infinite else self.quad_form - self.variance
 
 
-def _error_from_operator(j, a_coords: np.ndarray, var: float) -> ErrorResult:
-    viol = j.kernel_violation(a_coords)
-    infinite = viol > KERNEL_RTOL * max(np.linalg.norm(a_coords), 1e-300)
-    quad = j.quad(a_coords)
+def _error_from_operator(j: FisherOperator, g: np.ndarray, var: float) -> ErrorResult:
     return ErrorResult(
-        quad_form=quad, variance=var, kernel_violation=viol, is_infinite=infinite
+        quad_form=j.quad(g),
+        variance=var,
+        kernel_violation=j.kernel_violation(g),
+        is_infinite=not j.in_range(g),
     )
 
 
@@ -261,13 +257,14 @@ def error_disturbance_report(
     if basis is None:
         basis = tangent_basis(rho.shape[0])
     avg = average_channel(ins)
-    eps_a = measurement_error(rho, a, induced_povm(ins), basis)
+    ga, var_a = basis.coords(grad_expectation(rho, a)), variance(rho, a)
+    j_a = fisher_operator(model_from_povm(rho, induced_povm(ins), basis))
+    eps_a = _error_from_operator(j_a, ga, var_a)
     eta_b, j_s, gb = _disturbance_and_fisher(rho, b, avg, basis)
-    x = basis.matrix(j_s.pinv @ gb)
-    joint = joint_povm(ins, sld_optimal_pvm(avg(rho), avg(x)))
+    sigma, ex = avg(np.stack([rho, basis.matrix(j_s.pinv @ gb)]))
+    joint = joint_povm(ins, sld_optimal_pvm(sigma, ex))
     j_joint = fisher_operator(model_from_povm(rho, joint, basis))
-    ga = basis.coords(grad_expectation(rho, a))
-    eps_a_joint = _error_from_operator(j_joint, ga, variance(rho, a))
+    eps_a_joint = _error_from_operator(j_joint, ga, var_a)
     eps_b_joint = _error_from_operator(j_joint, gb, eta_b.variance)
     return ErrorDisturbanceReport(
         eps_a=eps_a,

@@ -39,9 +39,9 @@ def test_sld_defining_equation(rng):
     phi = basis.matrix(rng.normal(size=basis.size))
     l = log_derivative(s, phi, SLD_FUNCTION)
     np.testing.assert_allclose(
-        (s.rho @ l.matrix + l.matrix @ s.rho) / 2, phi, atol=1e-11
+        (s.rho @ l + l @ s.rho) / 2, phi, atol=1e-11
     )
-    np.testing.assert_allclose(l.matrix, l.matrix.conj().T, atol=1e-11)
+    np.testing.assert_allclose(l, l.conj().T, atol=1e-11)
 
 
 def test_rld_is_state_inverse_times_direction(rng):
@@ -49,7 +49,7 @@ def test_rld_is_state_inverse_times_direction(rng):
     basis = tangent_basis(3)
     phi = basis.matrix(rng.normal(size=basis.size))
     l = log_derivative(s, phi, RLD_FUNCTION)
-    np.testing.assert_allclose(np.linalg.inv(s.rho) @ phi, l.matrix, atol=1e-10)
+    np.testing.assert_allclose(np.linalg.inv(s.rho) @ phi, l, atol=1e-10)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 0.6, 0.9])

@@ -66,6 +66,14 @@ def test_depolarizing_disturbance_oracle():
     assert res.value == pytest.approx(3.0, abs=1e-10)
 
 
+def test_raw_matrix_state_needs_unit_trace():
+    # I is Hermitian but not a state: it used to give eps 4.25 and eta 6.0
+    with pytest.raises(InvalidOperandError, match="trace"):
+        measurement_error(IDENTITY2, SIGMA_Z, unsharp_z_povm(0.8))
+    with pytest.raises(InvalidOperandError, match="trace"):
+        disturbance(IDENTITY2, SIGMA_Z, depolarizing_channel(0.5))
+
+
 def test_identity_channel_no_disturbance():
     res = disturbance(qubit_state(rx=0.4), SIGMA_Y, identity_channel(2))
     assert abs(res.value) <= 1e-10
@@ -280,6 +288,28 @@ class TestErrorDisturbanceReport:
         ins = random_instrument(gen, 3, 10)
         error_disturbance_report(s, random_hermitian(gen, 3), random_hermitian(gen, 3), ins)
         assert len(calls) == 1
+
+    def test_one_gradient_variance_and_channel_pass_per_report(self, monkeypatch):
+        # grad<A>, Var(A) and E(rho), E(X) are each computed once per report
+        import urlab.quantum as qm
+        import urlab.uncertainty as unc
+
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for mod, name in ((unc, "grad_expectation"), (unc, "variance"), (qm, "apply_channel")):
+            monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+        gen = rng_from_seed(28)
+        s = random_state(gen, 4)
+        ins = random_instrument(gen, 4, 5)
+        error_disturbance_report(s, random_hermitian(gen, 4), random_hermitian(gen, 4), ins)
+        assert sorted(calls) == ["apply_channel"] * 2 + ["grad_expectation"] * 2 + ["variance"] * 2
 
     def test_infinite_product_short_circuits(self):
         # a two-outcome instrument cannot resolve all of a qutrit's
