@@ -61,10 +61,6 @@ class StatisticalModel:
     def n_outcomes(self) -> int:
         return self.probs.size
 
-    @property
-    def n_params(self) -> int:
-        return self.scores.shape[1]
-
 
 class FisherOperator:
     """Fisher information J = B^H B, held through its Gram factor B.
@@ -129,6 +125,26 @@ class StochasticKernel:
         object.__setattr__(self, "matrix", m)
 
 
+def _model_on_support(outcomes, probs, numer, effects=None) -> StatisticalModel:
+    """The renormalized model, scores numer / p, on the outcomes with p above P_FLOOR.
+
+    Given the effects, dropping an outcome whose effect is not negligible raises.
+    """
+    keep = probs > P_FLOOR
+    if effects is not None:
+        singular = ~keep & (np.linalg.norm(effects, axis=(1, 2)) > 1e-10)
+        if singular.any():
+            x = singular.argmax()
+            raise SingularModelError(f"outcome {outcomes[x]!r} has probability "
+                                     f"{probs[x]:.3e} but a non-negligible effect")
+    kept = probs[keep]
+    return StatisticalModel(
+        outcomes=tuple(o for o, k in zip(outcomes, keep) if k),
+        probs=kept / kept.sum(),
+        scores=numer[keep] / kept[:, None],
+    )
+
+
 def model_from_povm(
     s: QuantumState | np.ndarray, m: Povm, basis: TangentBasis | None = None
 ) -> StatisticalModel:
@@ -146,21 +162,7 @@ def model_from_povm(
     if basis is None:
         basis = tangent_basis(d)
     probs = np.einsum("ij,xji->x", rho, m.effects).real
-    numer = basis.coords(m.effects)
-    keep = probs > P_FLOOR
-    singular = ~keep & (np.linalg.norm(m.effects, axis=(1, 2)) > 1e-10)
-    if singular.any():
-        x = singular.argmax()
-        raise SingularModelError(
-            f"outcome {m.outcomes[x]!r} has probability {probs[x]:.3e} "
-            "but a non-negligible effect"
-        )
-    probs_kept = probs[keep]
-    scores = numer[keep] / probs_kept[:, None]
-    outcomes = tuple(o for o, k in zip(m.outcomes, keep) if k)
-    return StatisticalModel(
-        outcomes=outcomes, probs=probs_kept / probs_kept.sum(), scores=scores
-    )
+    return _model_on_support(m.outcomes, probs, basis.coords(m.effects), m.effects)
 
 
 def fisher_operator(mod: StatisticalModel) -> FisherOperator:
@@ -179,14 +181,8 @@ def markov_pushforward(mod: StatisticalModel, k: StochasticKernel) -> Statistica
         raise InvalidOperandError(
             f"kernel expects {km.shape[1]} outcomes, model has {mod.n_outcomes}"
         )
-    probs = km @ mod.probs
     numer = km @ (mod.probs[:, None] * mod.scores)
-    keep = probs > P_FLOOR
-    scores = numer[keep] / probs[keep][:, None]
-    outcomes = tuple(y for y in range(km.shape[0]) if keep[y])
-    return StatisticalModel(
-        outcomes=outcomes, probs=probs[keep] / probs[keep].sum(), scores=scores
-    )
+    return _model_on_support(range(km.shape[0]), km @ mod.probs, numer)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ class InvalidOperandError(UrlabError):
     """An operand fails a structural precondition (shape, hermiticity, ...)."""
 
 
-class SingularStateError(UrlabError):
+class SingularStateError(InvalidOperandError):
     """A state eigenvalue fell below the strict-positivity floor."""
 
 

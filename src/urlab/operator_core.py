@@ -49,6 +49,14 @@ def require_hermitian(a: np.ndarray, what: str = "operand") -> np.ndarray:
     return a
 
 
+def require_positive_spectrum(w: np.ndarray) -> None:
+    """Raise SingularStateError when a state eigenvalue in w is below EPS_POS."""
+    if w.min() < EPS_POS:
+        raise SingularStateError(
+            f"state eigenvalue {w.min():.3e} below positivity floor {EPS_POS:.0e}"
+        )
+
+
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr[a^dagger b].
 
@@ -316,7 +324,6 @@ class SuperOperatorKf:
 
     state_eigenvalues: np.ndarray
     state_eigenvectors: np.ndarray
-    function: MonotoneFunction
     coefficients: np.ndarray  # c_f(lambda_i, lambda_j)
 
     @property
@@ -348,11 +355,6 @@ def kf_superoperator(rho: np.ndarray, f: MonotoneFunction) -> SuperOperatorKf:
     """Diagonalize a strictly positive state and build its K^f superoperator."""
     rho = require_hermitian(rho, "state")
     w, u = np.linalg.eigh(rho)
-    if w.min() < EPS_POS:
-        raise SingularStateError(
-            f"state eigenvalue {w.min():.3e} below positivity floor {EPS_POS:.0e}"
-        )
+    require_positive_spectrum(w)
     coeff = f.kernel_coefficient(w[:, None], w[None, :])
-    return SuperOperatorKf(
-        state_eigenvalues=w, state_eigenvectors=u, function=f, coefficients=coeff
-    )
+    return SuperOperatorKf(state_eigenvalues=w, state_eigenvectors=u, coefficients=coeff)

@@ -4,7 +4,7 @@ Observables and tangent directions are plain Hermitian numpy arrays; the
 structured objects (states, POVMs, channels, instruments) validate their
 defining constraints on construction and are immutable afterwards.  Operator
 families (effects, Kraus operators) are single complex (n, rows, cols) arrays,
-and every Kraus sandwich goes through kraus_sum.
+every channel application goes through kraus_sum, and an instrument keeps its total channel.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import InvalidOperandError
 from .operator_core import (
-    EPS_POS,
     dagger,
     is_hermitian,
     project_traceless,
     require_hermitian,
+    require_positive_spectrum,
 )
 
 
@@ -45,11 +45,7 @@ class QuantumState:
                 raise InvalidOperandError("displacement shape mismatch")
             if abs(np.trace(disp)) > 1e-12 * max(1.0, np.abs(disp).max()):
                 raise InvalidOperandError("displacement is not traceless")
-        rho = _require_unit_trace(base + disp)
-        if np.linalg.eigvalsh(rho).min() < EPS_POS:
-            raise InvalidOperandError(
-                f"state not strictly positive (floor {EPS_POS:.0e})"
-            )
+        require_positive_spectrum(np.linalg.eigvalsh(_require_unit_trace(base + disp)))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "displacement", disp)
 
@@ -166,7 +162,10 @@ def identity_channel(dim: int) -> KrausChannel:
 
 @dataclass(frozen=True)
 class CpInstrument:
-    """Outcome-indexed Kraus sets whose total map is trace preserving."""
+    """Outcome-indexed Kraus sets whose total map, kept as channel, is trace preserving.
+
+    kraus_sets[x] is a view of channel's Kraus stack from index starts[x] on.
+    """
 
     outcomes: tuple
     kraus_sets: tuple  # one (k_x, d', d) array of Kraus operators per outcome
@@ -178,13 +177,17 @@ class CpInstrument:
             raise InvalidOperandError("outcomes and kraus_sets length mismatch")
         if len({ks.shape[1:] for ks in sets}) != 1:
             raise InvalidOperandError("Kraus operators have inconsistent shapes")
-        KrausChannel(kraus=np.concatenate(sets))  # the total map must be trace preserving
+        channel = KrausChannel(kraus=np.concatenate(sets))  # checks trace preservation
+        bounds = np.cumsum([0] + [len(ks) for ks in sets]).tolist()
+        views = tuple(channel.kraus[a:b] for a, b in zip(bounds, bounds[1:]))
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "kraus_sets", sets)
+        object.__setattr__(self, "kraus_sets", views)
+        object.__setattr__(self, "channel", channel)
+        object.__setattr__(self, "starts", tuple(bounds[:-1]))
 
     @property
     def dim(self) -> int:
-        return self.kraus_sets[0].shape[2]
+        return self.channel.dim_in
 
 
 def _as_state_matrix(s) -> np.ndarray:
@@ -263,14 +266,13 @@ def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
 
 def induced_povm(ins: CpInstrument) -> Povm:
     """The POVM measured by the instrument: effect(x) = sum_k K_{x,k}^dagger K_{x,k}."""
-    eye = np.eye(ins.dim)
-    effects = np.array([kraus_sum(dagger(ks), eye) for ks in ins.kraus_sets])
-    return Povm(outcomes=ins.outcomes, effects=effects)
+    k = ins.channel.kraus
+    return Povm(outcomes=ins.outcomes, effects=np.add.reduceat(dagger(k) @ k, ins.starts))
 
 
 def average_channel(ins: CpInstrument) -> KrausChannel:
     """The non-selective evolution: all Kraus operators of all outcomes."""
-    return KrausChannel(kraus=np.concatenate(ins.kraus_sets))
+    return ins.channel
 
 
 def pvm_of_observable(a: np.ndarray) -> Povm:

@@ -67,8 +67,6 @@ def flag_row(quantity: str, ok: bool, value: float = None, bound: float = 0.0) -
     """Row for a boolean property; value defaults to 1/0 for pass/fail."""
     if value is None:
         value = 1.0 if ok else 0.0
-    if not math.isinf(value) and math.isnan(value):
-        value = 0.0
     if math.isinf(value):
         return Row(quantity, value, bound, "infinite" if ok else "fail")
     return Row(quantity, value, bound, "pass" if ok else "fail")

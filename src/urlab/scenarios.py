@@ -206,6 +206,8 @@ def _scenario_qubit_instrument(cfg: ScenarioConfig) -> tuple[list[Row], list[int
     eta = cfg.param("eta", 0.8)
     if not 0 <= p < 1:
         raise UrlabError(f"p must be in [0, 1), got {p}")
+    if not 0 < eta < 1:  # eta = 1 is Lueders, the eta_sx_luders_infinite row
+        raise UrlabError(f"eta must be in (0, 1), got {eta}")
     rows = []
     maximally_mixed = IDENTITY2 / 2
 

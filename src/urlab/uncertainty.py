@@ -28,7 +28,6 @@ from .quantum import (
     average_channel,
     grad_expectation,
     induced_povm,
-    kraus_sum,
     sym_correlation,
     variance,
 )
@@ -125,11 +124,12 @@ def joint_povm(ins: CpInstrument, pvm: Povm) -> Povm:
     """
     if not pvm.is_projective():
         raise InvalidOperandError("second argument must be a projective measurement")
-    if pvm.dim != ins.kraus_sets[0].shape[1]:
+    if pvm.dim != ins.channel.dim_out:
         raise InvalidOperandError("instrument output and PVM dimension mismatch")
     outcomes = tuple((x, y) for x in ins.outcomes for y in pvm.outcomes)
-    effects = np.concatenate([kraus_sum(dagger(ks), pvm.effects) for ks in ins.kraus_sets])
-    return Povm(outcomes=outcomes, effects=effects)
+    k = ins.channel.kraus
+    effects = np.add.reduceat(dagger(k)[:, None] @ pvm.effects @ k[:, None], ins.starts)
+    return Povm(outcomes=outcomes, effects=effects.reshape(-1, *effects.shape[2:]))
 
 
 @dataclass(frozen=True)

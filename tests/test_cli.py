@@ -48,6 +48,12 @@ class TestRows:
         assert flag_row("q", True).status == "pass"
         assert flag_row("q", False).status == "fail"
 
+    def test_flag_row_keeps_nan(self):
+        # a NaN gap must show as NaN and fail, not print as 0.0
+        row = flag_row("q", False, value=math.nan)
+        assert math.isnan(row.value)
+        assert row.status == "fail"
+
     def test_all_pass_ignores_infinite(self):
         rep = RunReport("s", [le_row("a", 1.0, 2.0), le_row("b", math.inf, 2.0)])
         assert rep.all_pass
@@ -118,6 +124,24 @@ class TestScenarioCommand:
         assert rows[0] == CSV_COLUMNS
         statuses = {r[5] for r in rows[1:]}
         assert statuses <= {"pass", "infinite"}
+
+    def test_qubit_instrument_passes(self, runner, tmp_path):
+        out = tmp_path / "r.json"
+        res = runner.invoke(
+            main, ["scenario", "qubit-instrument", "--out", str(out), "--format", "json"]
+        )
+        assert res.exit_code == 0, res.output
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 7
+        assert all(r["status"] == "pass" for r in rows), rows
+
+    @pytest.mark.parametrize("eta", ["1.0", "0", "1.5", "-0.5"])
+    def test_qubit_instrument_rejects_eta_outside_open_unit_interval(self, runner, eta):
+        res = runner.invoke(main, ["scenario", "qubit-instrument", "--param", f"eta={eta}"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: eta must be in (0, 1)" in res.output
+        assert "Traceback" not in res.output
 
     def test_param_override(self, runner):
         res = runner.invoke(

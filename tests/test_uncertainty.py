@@ -8,6 +8,7 @@ import pytest
 from urlab import (
     CpInstrument,
     Povm,
+    average_channel,
     disturbance,
     error_disturbance_report,
     error_error_report,
@@ -142,6 +143,17 @@ class TestJointPovm:
             proj = pvm.effects[pvm.outcomes.index(y)]
             naive = sum(k.conj().T @ proj @ k for k in ks)
             np.testing.assert_allclose(e, naive, rtol=0, atol=1e-14)
+
+    def test_instrument_keeps_its_total_channel(self):
+        # the Kraus operators are stored once: every set is a view of the kept channel
+        gen = rng_from_seed(28)
+        kraus = random_channel(gen, 3, 6).kraus
+        ins = CpInstrument(outcomes=("a", "b", "c"), kraus_sets=(kraus[:2], kraus[2:4], kraus[4:]))
+        assert average_channel(ins) is average_channel(ins)
+        for ks in ins.kraus_sets:
+            assert np.shares_memory(ks, average_channel(ins).kraus)
+        np.testing.assert_array_equal(average_channel(ins).kraus, kraus)
+        np.testing.assert_array_equal(ins.starts, [0, 2, 4])
 
     def test_rejects_non_projective_second_argument(self):
         with pytest.raises(InvalidOperandError):
@@ -310,6 +322,30 @@ class TestErrorDisturbanceReport:
         ins = random_instrument(gen, 4, 5)
         error_disturbance_report(s, random_hermitian(gen, 4), random_hermitian(gen, 4), ins)
         assert sorted(calls) == ["apply_channel"] * 2 + ["grad_expectation"] * 2 + ["variance"] * 2
+
+    def test_two_kraus_sums_per_report(self, monkeypatch):
+        # E(rho) inside the pushed Fisher operator and E(rho), E(X) for the witness;
+        # the induced and joint POVMs are batched products, not per-outcome sums
+        import sys
+
+        import urlab.quantum as qm
+
+        calls = []
+        real = qm.kraus_sum
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # every urlab module that holds kraus_sum, however it was imported
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("urlab") and getattr(mod, "kraus_sum", None) is real:
+                monkeypatch.setattr(mod, "kraus_sum", counting)
+        gen = rng_from_seed(29)
+        s = random_state(gen, 4)
+        ins = random_instrument(gen, 4, 17)
+        error_disturbance_report(s, random_hermitian(gen, 4), random_hermitian(gen, 4), ins)
+        assert len(calls) == 2
 
     def test_infinite_product_short_circuits(self):
         # a two-outcome instrument cannot resolve all of a qutrit's
