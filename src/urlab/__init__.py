@@ -67,7 +67,6 @@ from .uncertainty import (
     disturbance,
     error_disturbance_report,
     error_error_report,
-    instrument_error_disturbance,
     joint_povm,
     measurement_error,
 )

@@ -62,7 +62,6 @@ def main():
 
 @main.command()
 @click.argument("name")
-@click.option("--dim", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--param", "params", multiple=True, help="Scenario parameter, key=value.")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
@@ -70,13 +69,13 @@ def main():
 @click.option("--out", type=click.Path(), help="Write the report to this path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-def scenario(name, dim, seed, params, config, out, fmt):
+def scenario(name, seed, params, config, out, fmt):
     """Run a named scenario (see `urlab scenario list`)."""
     if name == "list":
         for n in scenario_names():
             click.echo(n)
         return
-    kwargs = {"name": name, "dim": dim, "seed": seed, "params": _parse_params(params)}
+    kwargs = {"name": name, "seed": seed, "params": _parse_params(params)}
     try:
         if config:
             kwargs = _merge_config(config, kwargs)
@@ -110,11 +109,10 @@ def verify(suite, trials, seed, dim_max, out, fmt):
               help="Comma-separated truncation dimensions.")
 @click.option("--mean-photon", type=float, default=1.0, show_default=True)
 @click.option("--dephasing", type=float, default=0.3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), help="Write the report to this path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-def sweep(target, cutoffs, mean_photon, dephasing, seed, out, fmt):
+def sweep(target, cutoffs, mean_photon, dephasing, out, fmt):
     """Truncation-convergence sweep for the oscillator scenario."""
     try:
         cut = tuple(int(c) for c in cutoffs.split(",") if c)
@@ -124,11 +122,7 @@ def sweep(target, cutoffs, mean_photon, dephasing, seed, out, fmt):
         raise click.UsageError("--cutoffs lists no truncation dimension")
     try:
         cfg = ScenarioConfig(
-            name=target,
-            dim=max(cut),
-            seed=seed,
-            params={"mean_photon": mean_photon, "dephasing": dephasing},
-            cutoffs=cut,
+            name=target, params={"mean_photon": mean_photon, "dephasing": dephasing}, cutoffs=cut
         )
         report = run_scenario(cfg)
     except UrlabError as exc:

@@ -1,10 +1,10 @@
 """Foundational linear algebra on Hermitian matrices and the traceless tangent space.
 
 Provides the orthonormal basis of the real Hilbert space of traceless Hermitian
-d x d matrices, the Moore-Penrose pseudoinverse with explicit rank/kernel
-metadata, Schur-complement positivity tests for block operators, and the
-superoperator built from an operator monotone function and a strictly positive
-state, together with its inverse.
+d x d matrices, the Moore-Penrose pseudoinverse with its explicit rank,
+Schur-complement positivity tests for block operators, and the superoperator
+built from an operator monotone function and a strictly positive state,
+together with its inverse.
 """
 
 from __future__ import annotations
@@ -116,6 +116,8 @@ class TangentBasis:
         up + lo, i (up - lo), then G diag(y).
         """
         y, w = np.asarray(y), 1 / 2**0.5
+        if y.shape[-2:] != (self.dim, self.dim):
+            raise InvalidDimensionError(f"shape {y.shape} does not end in {(self.dim,) * 2}")
         j, k = self._pairs
         p = j.size
         up, lo = y[..., j, k] * w, y[..., k, j] * w
@@ -138,6 +140,8 @@ class TangentBasis:
     def matrix(self, coords: Sequence[float]) -> np.ndarray:
         """sum_a c_a e_a for every coordinate vector of a (..., d^2 - 1) stack."""
         c, w = np.asarray(coords), 1 / 2**0.5
+        if c.shape[-1:] != (self.size,):
+            raise InvalidDimensionError(f"shape {c.shape} does not end in ({self.size},)")
         d, (j, k) = self.dim, self._pairs
         p = j.size
         s, ia = c[..., :p] * w, 1j * (c[..., p : 2 * p] * w)
@@ -163,11 +167,10 @@ def tangent_basis(dim: int) -> TangentBasis:
 
 @dataclass(frozen=True)
 class PinvResult:
-    """Moore-Penrose inverse plus numerical rank and kernel metadata."""
+    """Moore-Penrose inverse plus its numerical rank."""
 
     pinv: np.ndarray
     rank: int
-    kernel_basis: np.ndarray  # shape (n, n - rank); columns span the null space
 
 
 def mp_inverse(s: np.ndarray) -> PinvResult:
@@ -175,9 +178,7 @@ def mp_inverse(s: np.ndarray) -> PinvResult:
 
     Singular values at or below dim * machine-epsilon * sigma_max, the
     standard numerically stable choice, are cut.  The returned matrix
-    satisfies the four Penrose conditions up to roundoff; the kernel basis
-    spans the numerical null space of s (right singular vectors of the
-    discarded singular values).
+    satisfies the four Penrose conditions up to roundoff.
     """
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -189,8 +190,7 @@ def mp_inverse(s: np.ndarray) -> PinvResult:
     inv_sv = np.zeros_like(sv)
     inv_sv[:rank] = 1.0 / sv[:rank]
     pinv = vh.conj().T @ np.diag(inv_sv) @ u.conj().T
-    kernel = vh[rank:].conj().T
-    return PinvResult(pinv=pinv, rank=rank, kernel_basis=kernel)
+    return PinvResult(pinv=pinv, rank=rank)
 
 
 def _min_eig(a: np.ndarray) -> float:
@@ -204,8 +204,6 @@ class SchurReport:
     is_psd: bool
     cond2: bool
     cond3: bool
-    schur_ma: np.ndarray  # M/A = C - B* A^+ B
-    schur_mc: np.ndarray  # M/C = A - B C^+ B*
 
 
 def schur_positivity_report(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> SchurReport:
@@ -228,8 +226,8 @@ def schur_positivity_report(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Schu
 
     pa = mp_inverse(a)
     pc = mp_inverse(c)
-    schur_ma = c - b.conj().T @ pa.pinv @ b
-    schur_mc = a - b @ pc.pinv @ b.conj().T
+    schur_ma = c - b.conj().T @ pa.pinv @ b  # M/A
+    schur_mc = a - b @ pc.pinv @ b.conj().T  # M/C
     # range(B) subset range(A)  <=>  A A^+ B = B
     range_b_in_a = np.linalg.norm(a @ pa.pinv @ b - b) <= 1e-9 * norm
     range_bt_in_c = np.linalg.norm(c @ pc.pinv @ b.conj().T - b.conj().T) <= 1e-9 * norm
@@ -243,8 +241,7 @@ def schur_positivity_report(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Schu
         and range_bt_in_c
         and _min_eig(schur_mc) >= -1e-9 * norm
     )
-    return SchurReport(is_psd=is_psd, cond2=cond2, cond3=cond3,
-                       schur_ma=schur_ma, schur_mc=schur_mc)
+    return SchurReport(is_psd=is_psd, cond2=cond2, cond3=cond3)
 
 
 @dataclass(frozen=True)

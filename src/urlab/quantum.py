@@ -25,33 +25,18 @@ from .operator_core import (
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Full-rank density matrix rho = base + displacement.
-
-    The displacement is a traceless Hermitian perturbation of the base point,
-    so the family theta -> base + theta is affine in the parameter.
-    """
+    """Full-rank density matrix, validated once; rho is the validated matrix."""
 
     base: np.ndarray
-    displacement: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        base = require_hermitian(self.base, "base state")
-        disp = self.displacement
-        if disp is None:
-            disp = np.zeros_like(base)
-        else:
-            disp = require_hermitian(disp, "displacement")
-            if disp.shape != base.shape:
-                raise InvalidOperandError("displacement shape mismatch")
-            if abs(np.trace(disp)) > 1e-12 * max(1.0, np.abs(disp).max()):
-                raise InvalidOperandError("displacement is not traceless")
-        require_positive_spectrum(np.linalg.eigvalsh(_require_unit_trace(base + disp)))
+        base = _require_unit_trace(require_hermitian(self.base, "state"))
+        require_positive_spectrum(np.linalg.eigvalsh(base))
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "displacement", disp)
 
     @property
     def rho(self) -> np.ndarray:
-        return self.base + self.displacement
+        return self.base
 
     @property
     def dim(self) -> int:
@@ -78,17 +63,10 @@ def _operator_stack(ops, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite family of PSD effects summing to the identity.
-
-    effects is one (n, d, d) array.  kind "discrete" is an ordinary finite
-    POVM; kind "grid" represents a continuous POVM discretized on quadrature
-    points, and completeness is checked to the looser grid tolerance because
-    discretization error dominates.
-    """
+    """Finite family of PSD effects, one (n, d, d) array, summing to the identity to 1e-8."""
 
     outcomes: tuple
     effects: np.ndarray
-    kind: str = "discrete"
 
     def __post_init__(self):
         effects = _operator_stack(self.effects, "effects")
@@ -97,14 +75,11 @@ class Povm:
         outcomes = tuple(self.outcomes)
         if len(outcomes) != len(effects):
             raise InvalidOperandError("outcomes and effects length mismatch")
-        if self.kind not in ("discrete", "grid"):
-            raise InvalidOperandError(f"unknown POVM kind {self.kind!r}")
         norms = np.maximum(np.linalg.norm(effects, axis=(1, 2)), 1.0)
         negative = np.linalg.eigvalsh(effects)[:, 0] < -1e-10 * norms
         if negative.any():
             raise InvalidOperandError(f"effect {outcomes[negative.argmax()]!r} is not PSD")
-        tol = 1e-6 if self.kind == "grid" else 1e-8
-        if np.abs(effects.sum(axis=0) - np.eye(effects.shape[1])).max() > tol:
+        if np.abs(effects.sum(axis=0) - np.eye(effects.shape[1])).max() > 1e-8:
             raise InvalidOperandError("effects do not sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "effects", effects)

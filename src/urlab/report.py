@@ -63,13 +63,13 @@ def eq_row(quantity: str, value: float, bound: float, *, atol: float) -> Row:
     return Row(quantity, value, bound, status)
 
 
-def flag_row(quantity: str, ok: bool, value: float = None, bound: float = 0.0) -> Row:  # type: ignore[assignment]
-    """Row for a boolean property; value defaults to 1/0 for pass/fail."""
+def flag_row(quantity: str, ok: bool, value: float = None) -> Row:  # type: ignore[assignment]
+    """Row for a boolean property against bound 0; value defaults to 1/0 for pass/fail."""
     if value is None:
         value = 1.0 if ok else 0.0
     if math.isinf(value):
-        return Row(quantity, value, bound, "infinite" if ok else "fail")
-    return Row(quantity, value, bound, "pass" if ok else "fail")
+        return Row(quantity, value, 0.0, "infinite" if ok else "fail")
+    return Row(quantity, value, 0.0, "pass" if ok else "fail")
 
 
 @dataclass

@@ -101,19 +101,6 @@ def disturbance(
     return _disturbance_and_fisher(rho, a, e, basis)[0]
 
 
-def instrument_error_disturbance(
-    s: QuantumState | np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    ins: CpInstrument,
-    basis: TangentBasis | None = None,
-) -> tuple[ErrorResult, ErrorResult]:
-    """(epsilon(A; induced POVM), eta(B; average channel)) of an instrument."""
-    eps = measurement_error(s, a, induced_povm(ins), basis)
-    eta = disturbance(s, b, average_channel(ins), basis)
-    return eps, eta
-
-
 def joint_povm(ins: CpInstrument, pvm: Povm) -> Povm:
     """The canonical joint POVM of an instrument and a projective measurement.
 
@@ -145,7 +132,6 @@ class UncertaintyReport:
     eps_or_eta_b: ErrorResult
     r_term: float
     commutator_term: float
-    relation: str
 
     @property
     def lhs(self) -> float:
@@ -200,7 +186,6 @@ def error_error_report(
         eps_or_eta_b=_error_from_operator(j, gb, variance(rho, b)),
         r_term=_r_term(rho, a, b, j, ga, gb),
         commutator_term=_commutator_term(rho, a, b),
-        relation="error-error",
     )
 
 
@@ -214,8 +199,8 @@ class ErrorDisturbanceReport(UncertaintyReport):
     eta(B; I) >= eps(B; M).
     """
 
-    eps_a_joint: ErrorResult = None  # type: ignore[assignment]
-    eps_b_joint: ErrorResult = None  # type: ignore[assignment]
+    eps_a_joint: ErrorResult
+    eps_b_joint: ErrorResult
 
     @staticmethod
     def _dominates(lhs: ErrorResult, rhs: ErrorResult) -> bool:
@@ -271,7 +256,6 @@ def error_disturbance_report(
         eps_or_eta_b=eta_b,
         r_term=_r_term(rho, a, b, j_joint, ga, gb),
         commutator_term=_commutator_term(rho, a, b),
-        relation="error-disturbance",
         eps_a_joint=eps_a_joint,
         eps_b_joint=eps_b_joint,
     )

@@ -143,6 +143,15 @@ class TestScenarioCommand:
         assert "Error: eta must be in (0, 1)" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("trials", ["0", "-3", "nan", "inf", "2.5"])
+    @pytest.mark.parametrize("name", ["qubit-unsharp", "qutrit-random"])
+    def test_scenario_trials_must_be_a_positive_integer(self, runner, name, trials):
+        res = runner.invoke(main, ["scenario", name, "--param", f"trials={trials}"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: trials must be an integer >= 1" in res.output
+        assert "Traceback" not in res.output
+
     def test_param_override(self, runner):
         res = runner.invoke(
             main, ["scenario", "qubit-unsharp", "--param", "eta=0.9"]
@@ -167,7 +176,7 @@ class TestScenarioCommand:
         for out in (out1, out2):
             res = runner.invoke(
                 main,
-                ["scenario", "qutrit-random", "--seed", "5", "--dim", "3",
+                ["scenario", "qutrit-random", "--seed", "5",
                  "--out", str(out), "--format", "json"],
             )
             assert res.exit_code == 0, res.output
@@ -284,6 +293,35 @@ class TestSweepCommand:
         quantities = [r[1] for r in rows[1:]]
         assert "epsilon_q_cutoff8" in quantities
         assert "eta_q_relative_drift" in quantities
+
+    def test_repeated_cutoffs_are_rejected(self, runner):
+        # 8,8 would pass by comparing d=8 with itself
+        res = runner.invoke(main, ["sweep", "oscillator", "--cutoffs", "8,8"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: oscillator needs at least two distinct cutoffs" in res.output
+
+    def test_full_dephasing_drift_is_infinite(self, runner):
+        # every eta_q is infinite: the drift row must not turn |inf - inf| / inf into a NaN fail
+        res = runner.invoke(
+            main, ["sweep", "oscillator", "--cutoffs", "12,8", "--dephasing", "1.0"]
+        )
+        assert res.exit_code == 0, res.output
+        drift = [line for line in res.output.splitlines() if "eta_q_relative_drift" in line]
+        assert len(drift) == 1 and drift[0].endswith("[infinite]"), res.output
+
+    @pytest.mark.parametrize("infinite_at", [8, 12])
+    def test_finite_against_infinite_drift_fails(self, monkeypatch, infinite_at):
+        dephasing = scenarios.oscillator.number_dephasing_channel
+        monkeypatch.setattr(
+            scenarios.oscillator,
+            "number_dephasing_channel",
+            lambda d, strength: dephasing(d, 1.0 if d == infinite_at else strength),
+        )
+        cfg = scenarios.ScenarioConfig(name="oscillator", cutoffs=(8, 12))
+        rows = {r.quantity: r for r in scenarios.run_scenario(cfg).rows}
+        assert rows[f"eta_q_cutoff{infinite_at}"].status == "infinite"
+        assert rows["eta_q_relative_drift"].status == "fail"
 
     def test_bad_cutoffs(self, runner):
         res = runner.invoke(main, ["sweep", "oscillator", "--cutoffs", "8,x"])

@@ -15,8 +15,11 @@ from urlab import (
     hs_inner,
     is_hermitian,
     kf_superoperator,
+    measurement_error,
+    model_from_povm,
     mp_inverse,
     project_traceless,
+    quantum_fisher,
     schur_positivity_report,
     tangent_basis,
 )
@@ -30,6 +33,7 @@ from urlab.randoms import (
     random_complex,
     random_hermitian,
     random_instrument,
+    random_povm,
     random_state,
     rng_from_seed,
 )
@@ -62,6 +66,26 @@ def test_tangent_basis_dim2_is_scaled_pauli():
 def test_tangent_basis_rejects_dim_one():
     with pytest.raises(InvalidDimensionError):
         tangent_basis(1)
+
+
+@pytest.mark.parametrize("basis_dim", [2, 4])
+@pytest.mark.parametrize("call", ["measurement_error", "quantum_fisher", "model_from_povm"])
+def test_basis_of_wrong_dimension_is_rejected(rng, call, basis_dim):
+    # without the shape checks a d=2 basis ends in a matmul ValueError, a d=4 one in an IndexError
+    s, m, a = random_state(rng, 3), random_povm(rng, 3, 4), random_hermitian(rng, 3)
+    basis = tangent_basis(basis_dim)
+    run = {
+        "measurement_error": lambda: measurement_error(s, a, m, basis),
+        "quantum_fisher": lambda: quantum_fisher(s, SLD_FUNCTION, basis=basis),
+        "model_from_povm": lambda: model_from_povm(s, m, basis),
+    }[call]
+    with pytest.raises(InvalidDimensionError):
+        run()
+
+
+def test_basis_matrix_rejects_wrong_coordinate_count():
+    with pytest.raises(InvalidDimensionError):
+        tangent_basis(3).matrix(np.zeros(3))
 
 
 def test_coords_matrix_round_trip(rng):
@@ -169,11 +193,6 @@ def test_mp_inverse_penrose_conditions(rng):
         assert np.linalg.norm(p @ s @ p - p) <= 1e-10 * max(np.linalg.norm(p), 1.0)
         assert np.linalg.norm((s @ p).conj().T - s @ p) <= 1e-10
         assert np.linalg.norm((p @ s).conj().T - p @ s) <= 1e-10
-        # kernel basis annihilates s and is orthonormal
-        k = res.kernel_basis
-        assert k.shape == (n, n - rank)
-        assert np.linalg.norm(s @ k) <= 1e-10 * max(norm, 1.0)
-        np.testing.assert_allclose(k.conj().T @ k, np.eye(n - rank), atol=1e-12)
 
 
 def test_mp_inverse_preserves_real_dtype(rng):

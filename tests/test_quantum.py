@@ -33,10 +33,6 @@ class TestQuantumState:
         assert s.dim == 2
         np.testing.assert_allclose(s.rho, qubit_state(rz=0.5))
 
-    def test_displacement_moves_the_state(self):
-        s = QuantumState(base=IDENTITY2 / 2, displacement=0.2 * SIGMA_X)
-        np.testing.assert_allclose(s.rho, qubit_state(rx=0.4))
-
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidOperandError):
             QuantumState(base=np.eye(2, dtype=complex))
@@ -44,10 +40,6 @@ class TestQuantumState:
     def test_rejects_rank_deficient(self):
         with pytest.raises(InvalidOperandError):
             QuantumState(base=np.diag([1.0, 0.0]).astype(complex))
-
-    def test_rejects_traceful_displacement(self):
-        with pytest.raises(InvalidOperandError):
-            QuantumState(base=IDENTITY2 / 2, displacement=0.1 * IDENTITY2)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidOperandError):
@@ -83,13 +75,11 @@ class TestPovm:
         with pytest.raises(InvalidOperandError, match="not Hermitian"):
             Povm(outcomes=(0, 1), effects=(1e6 * IDENTITY2, small))
 
-    def test_grid_kind_uses_looser_completeness(self):
-        # a defect of 1e-7 passes as grid but fails as discrete
-        eps = 1e-7
-        effects = ((IDENTITY2 / 2) * (1 + eps), IDENTITY2 / 2)
-        Povm(outcomes=(0, 1), effects=effects, kind="grid")
-        with pytest.raises(InvalidOperandError):
-            Povm(outcomes=(0, 1), effects=effects, kind="discrete")
+    def test_completeness_tolerance_is_1e_8(self):
+        # a completeness defect of 1e-9 passes, one of 1e-7 does not
+        Povm(outcomes=(0, 1), effects=((IDENTITY2 / 2) * (1 + 1e-9), IDENTITY2 / 2))
+        with pytest.raises(InvalidOperandError, match="sum to the identity"):
+            Povm(outcomes=(0, 1), effects=((IDENTITY2 / 2) * (1 + 1e-7), IDENTITY2 / 2))
 
 
 class TestKrausChannel:

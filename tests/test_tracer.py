@@ -1,9 +1,11 @@
 """The benchmark tracer still finds every function it counts in urlab."""
 
 import importlib
+import json
 import pathlib
 
-PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_tracer_finds_counted_functions(monkeypatch):
@@ -14,3 +16,13 @@ def test_tracer_finds_counted_functions(monkeypatch):
     spans = importlib.import_module("spans")
     tracer = spans.Tracer()
     assert set(spans.COUNTERS) <= set(tracer.stats)
+    # every "<layer>.<function>.<count>" metric of BENCHMARK.json must be traced,
+    # or the traced benchmark run dies with a KeyError after the whole run
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["per_layer"] if m["name"].count(".") == 2]
+    assert names
+    missing = [
+        n for n in names
+        if n.rpartition(".")[2] not in tracer.stats.get(n.rpartition(".")[0], {})
+    ]
+    assert not missing, f"per-layer metrics with no traced function: {missing}"

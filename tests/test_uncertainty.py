@@ -13,7 +13,6 @@ from urlab import (
     error_disturbance_report,
     error_error_report,
     induced_povm,
-    instrument_error_disturbance,
     joint_povm,
     measurement_error,
     pvm_of_observable,
@@ -82,17 +81,15 @@ def test_identity_channel_no_disturbance():
 
 def test_instrument_error_disturbance():
     eta = 0.8
-    eps, dist = instrument_error_disturbance(
-        IDENTITY2 / 2, SIGMA_Z, SIGMA_Z, unsharp_z_instrument(eta)
-    )
+    ins = unsharp_z_instrument(eta)
+    eps = measurement_error(IDENTITY2 / 2, SIGMA_Z, induced_povm(ins))
+    dist = disturbance(IDENTITY2 / 2, SIGMA_Z, average_channel(ins))
     assert eps.value == pytest.approx(1 / eta**2 - 1, abs=1e-10)
     assert dist.value >= -1e-10
 
 
 def test_full_dephasing_makes_transverse_disturbance_infinite():
-    _, dist = instrument_error_disturbance(
-        IDENTITY2 / 2, SIGMA_Z, SIGMA_X, luders_z_instrument()
-    )
+    dist = disturbance(IDENTITY2 / 2, SIGMA_X, average_channel(luders_z_instrument()))
     assert dist.is_infinite
 
 
