@@ -56,7 +56,6 @@ from .quantum import (
     grad_expectation,
     induced_povm,
     pvm_of_observable,
-    sample_outcomes,
     sym_correlation,
     variance,
 )

@@ -1,10 +1,13 @@
-"""Quantum states, observables, POVMs, channels, instruments, and sampling.
+"""Quantum states, observables, POVMs, channels and instruments.
 
 Observables and tangent directions are plain Hermitian numpy arrays; the
 structured objects (states, POVMs, channels, instruments) validate their
 defining constraints on construction and are immutable afterwards.  Operator
 families (effects, Kraus operators) are single complex (n, rows, cols) arrays,
-every channel application goes through kraus_sum, and an instrument keeps its total channel.
+and an instrument keeps its total channel.  A POVM's effects pass the PSD test
+with one batched Cholesky factorization of E + tol I; only when that fails do
+their smallest eigenvalues decide and name the offending effect.  Every channel
+application goes through kraus_sum, two matrix products over the Kraus stack.
 """
 
 from __future__ import annotations
@@ -75,10 +78,13 @@ class Povm:
         outcomes = tuple(self.outcomes)
         if len(outcomes) != len(effects):
             raise InvalidOperandError("outcomes and effects length mismatch")
-        norms = np.maximum(np.linalg.norm(effects, axis=(1, 2)), 1.0)
-        negative = np.linalg.eigvalsh(effects)[:, 0] < -1e-10 * norms
-        if negative.any():
-            raise InvalidOperandError(f"effect {outcomes[negative.argmax()]!r} is not PSD")
+        tol = 1e-10 * np.maximum(np.linalg.norm(effects, axis=(1, 2)), 1.0)
+        try:  # E + tol I is positive definite for every effect: each is PSD to tol
+            np.linalg.cholesky(effects + tol[:, None, None] * np.eye(effects.shape[1]))
+        except np.linalg.LinAlgError:  # the eigenvalue rule decides and names the effect
+            negative = np.linalg.eigvalsh(effects)[:, 0] < -tol
+            if negative.any():
+                raise InvalidOperandError(f"effect {outcomes[negative.argmax()]!r} is not PSD")
         if np.abs(effects.sum(axis=0) - np.eye(effects.shape[1])).max() > 1e-8:
             raise InvalidOperandError("effects do not sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
@@ -224,9 +230,13 @@ def grad_expectation(s, a: np.ndarray) -> np.ndarray:
 def kraus_sum(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k K_k x K_k^dagger for a (k, d', d) Kraus stack and x of shape (..., d, d).
 
-    Loops over the Kraus operators only, each product batched over x's leading axes.
+    Two products batched over x's leading axes: b = x [K_1^H ... K_k^H], then
+    [K_1 ... K_k] times b's k blocks of shape (d, d') stacked vertically.
     """
-    return sum(k @ x @ k.conj().T for k in kraus)
+    k, rows, cols = kraus.shape
+    b = x @ kraus.reshape(-1, cols).conj().T
+    b = b.reshape(*x.shape[:-1], k, rows).swapaxes(-3, -2).reshape(*x.shape[:-2], -1, rows)
+    return kraus.swapaxes(0, 1).reshape(rows, -1) @ b
 
 
 def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -266,23 +276,3 @@ def pvm_of_observable(a: np.ndarray) -> Povm:
     effects = [u[:, idx] @ dagger(u[:, idx]) for idx in clusters]
     return Povm(outcomes=outcomes, effects=effects)
 
-
-def outcome_probabilities(s, m: Povm) -> np.ndarray:
-    rho = _as_state_matrix(s)
-    if m.dim != rho.shape[0]:
-        raise InvalidOperandError("state and POVM dimension mismatch")
-    return np.trace(rho @ m.effects, axis1=1, axis2=2).real
-
-
-def sample_outcomes(s, m: Povm, n: int, seed: int) -> list:
-    """n i.i.d. outcome draws, reproducible for a fixed seed.
-
-    Uses the counter-based Philox generator so parallel harnesses can derive
-    disjoint streams from spawned seeds.
-    """
-    p = outcome_probabilities(s, m)
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    rng = np.random.Generator(np.random.Philox(seed))
-    idx = rng.choice(len(p), size=n, p=p)
-    return [m.outcomes[i] for i in idx]

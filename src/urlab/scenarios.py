@@ -282,6 +282,7 @@ def _scenario_oscillator(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
     strength = cfg.param("dephasing", 0.3)
     rows = []
     etas = {}
+    eta_atol = 1e-8
     for d in cutoffs:
         thermal = oscillator.thermal_state(d, nbar)
         q = oscillator.quadrature_q(d)
@@ -292,14 +293,16 @@ def _scenario_oscillator(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
             thermal, q, oscillator.number_dephasing_channel(d, strength), basis
         )
         etas[d] = eta.value
-        rows.append(ge_row(f"eta_q_cutoff{d}", eta.value, 0.0, atol=1e-8))
+        rows.append(ge_row(f"eta_q_cutoff{d}", eta.value, 0.0, atol=eta_atol))
     lo, hi = (etas[d] for d in sorted(cutoffs)[-2:])
     if math.isinf(lo) or math.isinf(hi):
         # two infinite values have no drift to bound; one alone has not converged
         status = "infinite" if math.isinf(lo) and math.isinf(hi) else "fail"
         rows.append(Row("eta_q_relative_drift", math.inf, 0.01, status))
     else:
-        rows.append(le_row("eta_q_relative_drift", abs(lo - hi) / abs(hi), 0.01))
+        # eta_q is 0 without dephasing: below eta_atol the drift is taken against eta_atol
+        drift = abs(lo - hi) / max(abs(hi), eta_atol)
+        rows.append(le_row("eta_q_relative_drift", drift, 0.01))
     return rows, list(cutoffs)
 
 

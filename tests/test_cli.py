@@ -310,6 +310,17 @@ class TestSweepCommand:
         drift = [line for line in res.output.splitlines() if "eta_q_relative_drift" in line]
         assert len(drift) == 1 and drift[0].endswith("[infinite]"), res.output
 
+    @pytest.mark.parametrize("cutoffs", ["4,8", "8,16"])
+    def test_undephased_drift_passes(self, runner, cutoffs):
+        # eta_q is 0 without dephasing: 0 at d=8 ended in a ZeroDivisionError,
+        # -6.7e-16 at d=16 gave a drift of 1
+        res = runner.invoke(
+            main, ["sweep", "oscillator", "--cutoffs", cutoffs, "--dephasing", "0"]
+        )
+        assert res.exit_code == 0, res.output
+        drift = [line for line in res.output.splitlines() if "eta_q_relative_drift" in line]
+        assert len(drift) == 1 and drift[0].endswith("[pass]"), res.output
+
     @pytest.mark.parametrize("infinite_at", [8, 12])
     def test_finite_against_infinite_drift_fails(self, monkeypatch, infinite_at):
         dephasing = scenarios.oscillator.number_dephasing_channel

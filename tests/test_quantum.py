@@ -1,5 +1,7 @@
 """States, POVMs, channels, instruments, and the statistics helpers."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,11 @@ from urlab import (
     induced_povm,
     is_hermitian,
     pvm_of_observable,
-    sample_outcomes,
     sym_correlation,
     variance,
 )
 from urlab.errors import InvalidOperandError
-from urlab.quantum import identity_channel, outcome_probabilities
+from urlab.quantum import identity_channel, kraus_sum
 from urlab.randoms import random_complex, rng_from_seed
 from urlab.scenarios import luders_z_instrument, unsharp_z_povm
 
@@ -81,6 +82,55 @@ class TestPovm:
         with pytest.raises(InvalidOperandError, match="sum to the identity"):
             Povm(outcomes=(0, 1), effects=((IDENTITY2 / 2) * (1 + 1e-7), IDENTITY2 / 2))
 
+    # An effect passes the PSD test when its smallest eigenvalue is at least
+    # -tol, tol = 1e-10 max(|E|_F, 1); every effect below has |E|_F < 1.
+    @pytest.mark.parametrize("factor, accepted", [(0.999, True), (1.001, False)])
+    def test_psd_boundary_of_a_qubit_effect(self, factor, accepted):
+        c = factor * 1e-10
+        effects = (np.diag([-c, 0.5]), np.diag([1 + c, 0.5]))
+        with _verdict(accepted, "effect 'a' is not PSD"):
+            Povm(outcomes=("a", "b"), effects=effects)
+
+    @pytest.mark.parametrize("factor, accepted", [(0.999, True), (1.001, False)])
+    def test_psd_boundary_inside_a_large_stack(self, factor, accepted):
+        outcomes, effects = _rotated_effects(factor * 1e-10, bad=257)
+        with _verdict(accepted, "effect 'x257' is not PSD"):
+            Povm(outcomes=outcomes, effects=effects)
+
+    @pytest.mark.parametrize("c, accepted", [(0.0, True), (1e-6, False)])
+    def test_eigenvalues_only_after_a_failed_factorization(self, monkeypatch, c, accepted):
+        outcomes, effects = _rotated_effects(c, bad=3)
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        with _verdict(accepted, "effect 'x3' is not PSD"):
+            Povm(outcomes=outcomes, effects=effects)
+        assert len(calls) == (0 if accepted else 1)
+
+
+def _verdict(accepted: bool, message: str):
+    return nullcontext() if accepted else pytest.raises(InvalidOperandError, match=message)
+
+
+def _rotated_effects(c: float, bad: int, n: int = 520, d: int = 8):
+    """n outcomes and effects on C^d: 'x<bad>' is a rotated diag(-c, 0.3, ..., 0.3),
+    the others split its complement equally."""
+    u = np.linalg.qr(random_complex(rng_from_seed(5), (d, d)))[0]
+    e = u @ np.diag([-c] + [0.3] * (d - 1)) @ u.conj().T
+    e = (e + e.conj().T) / 2
+    effects = np.repeat(((np.eye(d) - e) / (n - 1))[None], n, axis=0)
+    effects[bad] = e
+    return tuple(f"x{i}" for i in range(n)), effects
+
+
+def _assert_close_relative(actual, expected, rtol=1e-14):
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
 
 class TestKrausChannel:
     def test_not_trace_preserving_rejected(self):
@@ -100,29 +150,42 @@ class TestKrausChannel:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_channel_and_adjoint_apply_to_stacks(self):
-        # a rectangular channel from a qutrit to a qubit, applied to a
-        # (2, 4, d, d) stack, against per-matrix Kraus sums
+        # a rectangular channel from a qutrit to a qubit, applied to stacks
+        # with no, one and two leading axes, against per-operator Kraus sums
         gen = rng_from_seed(12)
-        ch = KrausChannel(kraus=np.linalg.qr(random_complex(gen, (6, 3)))[0].reshape(3, 2, 3))
-        xs = random_complex(gen, (2, 4, 3, 3))
-        ys = random_complex(gen, (2, 4, 2, 2))
-        images = ch(xs)
-        preimages = ch.adjoint(ys)
-        assert images.shape == ys.shape and preimages.shape == xs.shape
-        for idx in np.ndindex(2, 4):
-            naive = sum(k @ xs[idx] @ k.conj().T for k in ch.kraus)
-            np.testing.assert_allclose(images[idx], naive, rtol=0, atol=1e-14)
-            naive = sum(k.conj().T @ ys[idx] @ k for k in ch.kraus)
-            np.testing.assert_allclose(preimages[idx], naive, rtol=0, atol=1e-14)
+        ch = KrausChannel(kraus=np.linalg.qr(random_complex(gen, (10, 3)))[0].reshape(5, 2, 3))
+        for lead in [(), (4,), (2, 4)]:
+            xs = random_complex(gen, (*lead, 3, 3))
+            ys = random_complex(gen, (*lead, 2, 2))
+            images = ch(xs)
+            preimages = ch.adjoint(ys)
+            assert images.shape == ys.shape and preimages.shape == xs.shape
+            for idx in np.ndindex(*lead):
+                naive = sum(k @ xs[idx] @ k.conj().T for k in ch.kraus)
+                _assert_close_relative(images[idx], naive)
+                naive = sum(k.conj().T @ ys[idx] @ k for k in ch.kraus)
+                _assert_close_relative(preimages[idx], naive)
         with pytest.raises(InvalidOperandError):
             ch(ys)
         with pytest.raises(InvalidOperandError):
             ch.adjoint(xs)
 
+    @pytest.mark.parametrize("rows, cols", [(2, 5), (5, 2), (4, 4)])
+    def test_kraus_sum_matches_per_operator_loop(self, rows, cols):
+        # any (k, d', d) stack, trace preserving or not
+        gen = rng_from_seed(rows * 10 + cols)
+        kraus = random_complex(gen, (7, rows, cols))
+        xs = random_complex(gen, (3, cols, cols))
+        out = kraus_sum(kraus, xs)
+        assert out.shape == (3, rows, rows)
+        for x, y in zip(xs, out):
+            _assert_close_relative(y, sum(k @ x @ k.conj().T for k in kraus))
+
     def test_identity_channel(self, rng):
         ch = identity_channel(3)
-        x = rng.normal(size=(3, 3))
-        np.testing.assert_allclose(ch(x), x, atol=1e-14)
+        x = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+        np.testing.assert_array_equal(ch(x), x)
+        np.testing.assert_array_equal(ch(x[0]), x[0])
 
 
 def test_expectation_variance_known_qubit():
@@ -177,19 +240,6 @@ def test_induced_povm_and_average_channel():
     out = ch(qubit_state(rx=0.8))
     # full z dephasing kills the x component
     np.testing.assert_allclose(out, IDENTITY2 / 2, atol=1e-12)
-
-
-def test_outcome_probabilities_and_sampling():
-    rho = qubit_state(rz=0.5)
-    pvm = pvm_of_observable(SIGMA_Z)
-    probs = outcome_probabilities(rho, pvm)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(sorted(probs), [0.25, 0.75], atol=1e-12)
-
-    draws = sample_outcomes(rho, pvm, 20000, seed=7)
-    assert draws == sample_outcomes(rho, pvm, 20000, seed=7)
-    freq = sum(1 for d in draws if d == pvm.outcomes[1]) / len(draws)
-    assert freq == pytest.approx(probs[1], abs=0.02)
 
 
 @pytest.mark.parametrize(
