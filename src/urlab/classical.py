@@ -6,6 +6,9 @@ Markov-kernel pushforwards, monotonicity checks, locally unbiased estimators,
 and Monte Carlo variance estimates.  FisherOperator holds a Fisher matrix
 through a Gram factor B with J = B^H B; the quantum Fisher informations of
 qfisher use the same type, so error and disturbance share one quadratic form.
+B's SVD is taken block by block over the connected blocks of its nonzero
+pattern, one batched SVD per block shape, and the rank is cut on B's singular
+values at max(B.shape) * eps * s_max as for one dense SVD.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ class StatisticalModel:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         scores = np.asarray(self.scores, dtype=float)
-        if probs.ndim != 1 or scores.shape[0] != probs.size:
+        if probs.ndim != 1 or scores.ndim != 2 or scores.shape[0] != probs.size:
             raise InvalidOperandError("probs/scores shape mismatch")
+        if scores.shape[1] == 0:
+            raise InvalidOperandError("scores need at least one tangent direction")
         if len(self.outcomes) != probs.size:
             raise InvalidOperandError("outcomes length mismatch")
         if abs(probs.sum() - 1.0) > 1e-10:
@@ -62,21 +67,72 @@ class StatisticalModel:
         return self.probs.size
 
 
+def _block_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of b in descending order, and the matching rows of V^H.
+
+    A factor with zero entries splits into the connected blocks of the
+    bipartite row/column graph of its nonzero entries; zero rows and columns
+    carry no singular value and are left out.  Blocks of one shape share one
+    batched SVD, and each block's V^H rows are scattered back to full length.
+    """
+    nnz = np.count_nonzero(b)
+    if nnz == b.size:
+        return np.linalg.svd(b, full_matrices=False)[1:]
+    m, n = b.shape
+    rows, cols = b.any(axis=1), b.any(axis=0)
+    if nnz == np.count_nonzero(rows) * np.count_nonzero(cols):  # one full block, or none
+        sv, v = np.linalg.svd(b[rows][:, cols], full_matrices=False)[1:]
+        vh = np.zeros((sv.size, n), v.dtype)
+        vh[:, cols] = v
+        return sv, vh
+    r, c = np.nonzero(b)
+    # nodes: the m rows, then the n columns; each takes its component's smallest label
+    c += m
+    lab = np.arange(m + n)
+    while True:
+        new = lab.copy()
+        np.minimum.at(new, r, new[c])
+        np.minimum.at(new, c, new[r])
+        if (new == lab).all():
+            break
+        lab = new
+    nodes = np.flatnonzero(np.concatenate([rows, cols]))
+    order = nodes[np.argsort(lab[nodes], kind="stable")]  # per component, rows before columns
+    _, start, size = np.unique(lab[order], return_index=True, return_counts=True)
+    nrow = np.add.reduceat(order < m, start)
+    ncol = size - nrow
+    svs, vhs = [], []
+    for pr, qc in sorted(set(zip(nrow.tolist(), ncol.tolist()))):
+        first = start[(nrow == pr) & (ncol == qc)][:, None]
+        ri = order[first + np.arange(pr)]
+        ci = order[first + pr + np.arange(qc)] - m
+        sv, v = np.linalg.svd(b[ri[:, :, None], ci[:, None, :]], full_matrices=False)[1:]
+        vh = np.zeros(v.shape[:2] + (n,), v.dtype)
+        np.put_along_axis(vh, np.broadcast_to(ci[:, None, :], v.shape), v, axis=2)
+        svs.append(sv.ravel())
+        vhs.append(vh.reshape(-1, n))
+    sv = np.concatenate(svs)
+    idx = np.argsort(-sv, kind="stable")
+    return sv[idx], np.concatenate(vhs)[idx]
+
+
 class FisherOperator:
     """Fisher information J = B^H B, held through its Gram factor B.
 
-    One thin SVD B = U S V^H fixes the numerical rank: singular values of B
-    (not of J, which would square the condition number) at or below
-    max(B.shape) * eps * s_max are cut.  The kept right singular vectors V_r
-    span range(J), so (a, J^+ b) is the dot product of S^{-1} V_r^H a and
-    S^{-1} V_r^H b, and a leaves the range by its residual a - V_r V_r^H a.
+    The SVD B = U S V^H, taken block by block over the connected blocks of
+    B's nonzero pattern (one thin SVD when B has no zero entry), fixes the
+    numerical rank: singular values of B (not of J, which would square the
+    condition number) at or below max(B.shape) * eps * s_max are cut.  The
+    kept right singular vectors V_r span range(J), so (a, J^+ b) is the dot
+    product of S^{-1} V_r^H a and S^{-1} V_r^H b, and a leaves the range by
+    its residual a - V_r V_r^H a.
     The matrix J and its pseudoinverse are derived only on request.
     """
 
     def __init__(self, factor: np.ndarray):
         self.factor = factor
-        _, sv, vh = np.linalg.svd(factor, full_matrices=False)
-        tol = max(factor.shape) * np.finfo(float).eps * sv[0]
+        sv, vh = _block_svd(factor)
+        tol = max(factor.shape) * np.finfo(float).eps * sv.max(initial=0)
         self.rank = int(np.sum(sv > tol))
         self._sv = sv[: self.rank]
         self._vh = vh[: self.rank]

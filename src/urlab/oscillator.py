@@ -28,8 +28,8 @@ def quadrature_p(dim: int) -> np.ndarray:
 
 def thermal_state(dim: int, mean_photon: float) -> QuantumState:
     """Truncated thermal state, renormalized so it stays full rank."""
-    if mean_photon <= 0:
-        raise InvalidOperandError("mean photon number must be positive")
+    if not 0 < mean_photon < np.inf:
+        raise InvalidOperandError("mean photon number must be positive and finite")
     n = np.arange(dim)
     lam = (mean_photon / (mean_photon + 1)) ** n / (mean_photon + 1)
     lam = lam / lam.sum()

@@ -14,6 +14,20 @@ def rng():
     return np.random.Generator(np.random.Philox(20240901))
 
 
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shapes of the arrays passed to np.linalg.svd during the test, in call order."""
+    shapes = []
+    real = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
 def qubit_state(rx=0.0, ry=0.0, rz=0.0):
     """Density matrix (I + r . sigma) / 2 for a Bloch vector inside the ball."""
     return (IDENTITY2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z) / 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urlab import (
+    FisherOperator,
     StatisticalModel,
     StochasticKernel,
     fisher_operator,
@@ -51,6 +52,100 @@ def test_model_validation():
     with pytest.raises(InvalidOperandError):
         StatisticalModel(outcomes=(0, 1), probs=np.array([0.5, 0.5]),
                          scores=np.array([[1.0], [1.0]]))  # not zero mean
+
+
+def test_model_needs_a_tangent_direction():
+    with pytest.raises(InvalidOperandError, match="at least one tangent direction"):
+        StatisticalModel(outcomes=(0, 1), probs=[0.5, 0.5], scores=np.zeros((2, 0)))
+
+
+def gaussian(rng, size, complex_):
+    return rng.normal(size=size) + 1j * rng.normal(size=size) if complex_ else rng.normal(size=size)
+
+
+def block_factor(rng, shapes, zero_rows, zero_cols, complex_):
+    """Well-conditioned blocks of scales 0.1 to 10 on a diagonal, padded with zero
+    rows and columns, behind random row and column permutations.
+
+    A wider spread of scales would test the dense reference, not the blocks: a
+    dense SVD perturbs a small block's singular vectors by about eps * s_max / s.
+    """
+    m = sum(p for p, _ in shapes) + zero_rows
+    n = sum(q for _, q in shapes) + zero_cols
+    b = np.zeros((m, n), complex if complex_ else float)
+    i = j = 0
+    for p, q in shapes:
+        k = min(p, q)
+        u = np.linalg.qr(gaussian(rng, (p, k), complex_))[0]
+        v = np.linalg.qr(gaussian(rng, (q, k), complex_))[0]
+        s = rng.uniform(0.5, 2.0, size=k) * 10.0 ** rng.uniform(-1, 1)
+        b[i : i + p, j : j + q] = (u * s) @ v.conj().T
+        i, j = i + p, j + q
+    return b[rng.permutation(m)][:, rng.permutation(n)]
+
+
+def dense_reference(b):
+    """Rank, whitening and range projector from one dense thin SVD."""
+    _, sv, vh = np.linalg.svd(b, full_matrices=False)
+    tol = max(b.shape) * np.finfo(float).eps * sv.max(initial=0)
+    r = int(np.sum(sv > tol))
+    return r, sv[:r], vh[:r]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5),
+    zero_rows=st.integers(0, 3),
+    zero_cols=st.integers(0, 3),
+    complex_=st.booleans(),
+)
+def test_block_svd_matches_dense_svd(seed, shapes, zero_rows, zero_cols, complex_):
+    rng = np.random.default_rng(seed)
+    b = block_factor(rng, shapes, zero_rows, zero_cols, complex_)
+    j = FisherOperator(b)
+    r, sv, vh = dense_reference(b)
+    assert j.rank == r == sum(min(p, q) for p, q in shapes)
+    n = b.shape[1]
+    a, c = gaussian(rng, n, complex_), gaussian(rng, n, complex_)
+    scale = np.sqrt(j.quad(a) * j.quad(c))
+    assert abs(j.quad(a, c) - np.real(np.vdot(vh @ a / sv, vh @ c / sv))) <= 1e-12 * scale
+    for x in (a, j.matrix @ c):  # a generic direction and one in the range
+        ref = np.linalg.norm(x - vh.conj().T @ (vh @ x))
+        assert abs(j.kernel_violation(x) - ref) <= 1e-12 * np.linalg.norm(x)
+        assert j.in_range(x) == (ref <= 1e-8 * np.linalg.norm(x))
+    pinv = (vh.conj().T / sv**2) @ vh
+    np.testing.assert_allclose(j.pinv, pinv, rtol=0, atol=1e-12 * np.abs(pinv).max())
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (3, 0), (0, 3)], ids=["zero", "no-columns", "no-rows"])
+def test_zero_and_empty_factors_have_rank_zero(shape):
+    j = FisherOperator(np.zeros(shape))
+    assert j.rank == 0
+    if shape[1]:
+        a = np.arange(1.0, shape[1] + 1)
+        assert j.quad(a) == 0.0 and not j.in_range(a)
+        assert j.kernel_violation(a) == np.linalg.norm(a)
+        np.testing.assert_array_equal(j.pinv, np.zeros((shape[1], shape[1])))
+
+
+def test_rank_cut_drops_a_negligible_block():
+    # blocks of singular values 1e-30, 1e-3 and about 1; the cut keeps the largest three
+    b = np.zeros((4, 6))
+    b[0, 5] = 1e-30
+    b[1, 1:4] = 1e-3
+    b[2:, [0, 4]] = [[1.0, 0.5], [-0.5, 1.0]]
+    j = FisherOperator(b)
+    assert j.rank == 3
+    assert not j.in_range(np.eye(6)[5])
+    assert j.quad(np.array([0.0, 1.0, 1.0, 1.0, 0.0, 0.0])) == pytest.approx(1e6, rel=1e-12)
+    assert j.quad(np.eye(6)[0]) == pytest.approx(0.8, rel=1e-12)
+
+
+def test_factor_without_zeros_takes_one_dense_svd(svd_shapes):
+    b = np.random.default_rng(5).normal(size=(7, 4))
+    assert FisherOperator(b).rank == 4
+    assert svd_shapes == [(7, 4)]
 
 
 def test_model_from_povm_unsharp_qubit():

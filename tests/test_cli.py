@@ -334,6 +334,13 @@ class TestSweepCommand:
         assert rows[f"eta_q_cutoff{infinite_at}"].status == "infinite"
         assert rows["eta_q_relative_drift"].status == "fail"
 
+    @pytest.mark.parametrize("mean_photon", ["nan", "inf"])
+    def test_nonfinite_mean_photon_is_rejected(self, runner, mean_photon):
+        # both used to fail later with "state is not Hermitian"
+        res = runner.invoke(main, ["sweep", "oscillator", "--mean-photon", mean_photon])
+        assert res.exit_code == 1
+        assert "Error: mean photon number must be positive and finite" in res.output
+
     def test_bad_cutoffs(self, runner):
         res = runner.invoke(main, ["sweep", "oscillator", "--cutoffs", "8,x"])
         assert res.exit_code != 0

@@ -58,6 +58,12 @@ def test_thermal_state_rejects_nonpositive_mean():
         thermal_state(8, 0.0)
 
 
+@pytest.mark.parametrize("mean_photon", [np.nan, np.inf])
+def test_thermal_state_rejects_nonfinite_mean(mean_photon):
+    with pytest.raises(InvalidOperandError, match="positive and finite"):
+        thermal_state(8, mean_photon)
+
+
 def test_homodyne_pvm_is_projective_and_complete():
     pvm = homodyne_q_pvm(10)
     assert pvm.is_projective()
@@ -119,3 +125,22 @@ def test_classical_and_quantum_fisher_share_one_type():
     assert isinstance(quantum_fisher(s, SLD_FUNCTION), FisherOperator)
     assert isinstance(quantum_fisher(s, RLD_FUNCTION), FisherOperator)
     assert isinstance(quantum_fisher(s, SLD_FUNCTION, pushforward=ch), FisherOperator)
+
+
+@pytest.mark.parametrize("d", [24, 32, 40])
+def test_dephasing_disturbance_oracle_at_large_cutoffs(d):
+    # mean photon number 2 keeps the smallest level of the d=40 state above EPS_POS
+    s = thermal_state(d, 2.0)
+    q = quadrature_q(d)
+    res = disturbance(s, q, number_dephasing_channel(d, 0.3))
+    assert res.value == pytest.approx(variance(s.rho, q) * ((1 - 0.3) ** -2 - 1), rel=1e-12)
+
+
+def test_pushed_sld_factor_takes_one_batched_svd_per_block_shape(svd_shapes):
+    # in the Fock basis every off-diagonal coordinate is its own 1x1 block, and the
+    # d diagonal entries against the d-1 diagonal Gell-Mann directions form one block
+    d = 32
+    j = quantum_fisher(thermal_state(d, 2.0), SLD_FUNCTION,
+                       pushforward=number_dephasing_channel(d, 0.3))
+    assert sorted(svd_shapes) == [(1, d, d - 1), (d * (d - 1), 1, 1)]
+    assert j.rank == d * d - 1
