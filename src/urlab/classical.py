@@ -6,8 +6,8 @@ Markov-kernel pushforwards, monotonicity checks, locally unbiased estimators,
 and Monte Carlo variance estimates.  FisherOperator holds a Fisher matrix
 through a Gram factor B with J = B^H B; the quantum Fisher informations of
 qfisher use the same type, so error and disturbance share one quadratic form.
-B's SVD is taken block by block over the connected blocks of its nonzero
-pattern, one batched SVD per block shape, and the rank is cut on B's singular
+B's 1x1 blocks (entries alone in their row and column) are read off
+directly and the rest of B takes one thin SVD; the rank is cut on B's singular
 values at max(B.shape) * eps * s_max as for one dense SVD.
 """
 
@@ -70,57 +70,35 @@ class StatisticalModel:
 def _block_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of b in descending order, and the matching rows of V^H.
 
-    A factor with zero entries splits into the connected blocks of the
-    bipartite row/column graph of its nonzero entries; zero rows and columns
-    carry no singular value and are left out.  Blocks of one shape share one
-    batched SVD, and each block's V^H rows are scattered back to full length.
+    A factor with zero entries splits off its 1x1 blocks: an entry that is the
+    only nonzero of its row and of its column has singular value |b_rc| and
+    V^H row e_c (its phase goes to U, which is not kept).  The other nonzero
+    rows and columns take one thin SVD; zero rows and columns are left out.
     """
-    nnz = np.count_nonzero(b)
-    if nnz == b.size:
+    if np.count_nonzero(b) == b.size:
         return np.linalg.svd(b, full_matrices=False)[1:]
-    m, n = b.shape
-    rows, cols = b.any(axis=1), b.any(axis=0)
-    if nnz == np.count_nonzero(rows) * np.count_nonzero(cols):  # one full block, or none
-        sv, v = np.linalg.svd(b[rows][:, cols], full_matrices=False)[1:]
-        vh = np.zeros((sv.size, n), v.dtype)
-        vh[:, cols] = v
-        return sv, vh
-    r, c = np.nonzero(b)
-    # nodes: the m rows, then the n columns; each takes its component's smallest label
-    c += m
-    lab = np.arange(m + n)
-    while True:
-        new = lab.copy()
-        np.minimum.at(new, r, new[c])
-        np.minimum.at(new, c, new[r])
-        if (new == lab).all():
-            break
-        lab = new
-    nodes = np.flatnonzero(np.concatenate([rows, cols]))
-    order = nodes[np.argsort(lab[nodes], kind="stable")]  # per component, rows before columns
-    _, start, size = np.unique(lab[order], return_index=True, return_counts=True)
-    nrow = np.add.reduceat(order < m, start)
-    ncol = size - nrow
-    svs, vhs = [], []
-    for pr, qc in sorted(set(zip(nrow.tolist(), ncol.tolist()))):
-        first = start[(nrow == pr) & (ncol == qc)][:, None]
-        ri = order[first + np.arange(pr)]
-        ci = order[first + pr + np.arange(qc)] - m
-        sv, v = np.linalg.svd(b[ri[:, :, None], ci[:, None, :]], full_matrices=False)[1:]
-        vh = np.zeros(v.shape[:2] + (n,), v.dtype)
-        np.put_along_axis(vh, np.broadcast_to(ci[:, None, :], v.shape), v, axis=2)
-        svs.append(sv.ravel())
-        vhs.append(vh.reshape(-1, n))
-    sv = np.concatenate(svs)
+    nz = b != 0
+    nrow, ncol = nz.sum(axis=1), nz.sum(axis=0)
+    r = np.flatnonzero(nrow == 1)
+    c = nz[r].argmax(axis=1)
+    alone = ncol[c] == 1  # the row's only nonzero is also its column's only one
+    r, c = r[alone], c[alone]
+    rows, cols = nrow > 0, ncol > 0
+    rows[r] = cols[c] = False
+    sv, v = np.linalg.svd(b[rows][:, cols], full_matrices=False)[1:]
+    sv = np.concatenate([np.abs(b[r, c]), sv])
+    vh = np.zeros((sv.size, b.shape[1]), v.dtype)
+    vh[np.arange(r.size), c] = 1
+    vh[r.size:, cols] = v
     idx = np.argsort(-sv, kind="stable")
-    return sv[idx], np.concatenate(vhs)[idx]
+    return sv[idx], vh[idx]
 
 
 class FisherOperator:
     """Fisher information J = B^H B, held through its Gram factor B.
 
-    The SVD B = U S V^H, taken block by block over the connected blocks of
-    B's nonzero pattern (one thin SVD when B has no zero entry), fixes the
+    The SVD B = U S V^H (one thin SVD when B has no zero entry, otherwise
+    B's 1x1 blocks read off directly and one thin SVD of the rest) fixes the
     numerical rank: singular values of B (not of J, which would square the
     condition number) at or below max(B.shape) * eps * s_max are cut.  The
     kept right singular vectors V_r span range(J), so (a, J^+ b) is the dot

@@ -193,7 +193,10 @@ def _scenario_qubit_unsharp(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
     rows.append(le_row("pvm_zero_error", abs(eps_pvm.value), 1e-8))
 
     # error-error sweep on a polarized state with random POVMs and observables
-    rho = (IDENTITY2 + cfg.param("r", 0.5) * SIGMA_Z) / 2
+    r = cfg.param("r", 0.5)
+    if not -1 <= r <= 1:
+        raise UrlabError(f"r must be in [-1, 1], got {r}")
+    rho = (IDENTITY2 + r * SIGMA_Z) / 2
 
     def trial(rng, dim_max: int, t: int) -> dict:
         a = random_hermitian(rng, dim_max)
@@ -306,11 +309,12 @@ def _scenario_oscillator(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
     return rows, list(cutoffs)
 
 
+# each scenario with the parameter names it reads
 _SCENARIOS = {
-    "qubit-unsharp": _scenario_qubit_unsharp,
-    "qubit-instrument": _scenario_qubit_instrument,
-    "qutrit-random": _scenario_qutrit_random,
-    "oscillator": _scenario_oscillator,
+    "qubit-unsharp": (_scenario_qubit_unsharp, ("eta", "r", "trials")),
+    "qubit-instrument": (_scenario_qubit_instrument, ("p", "eta")),
+    "qutrit-random": (_scenario_qutrit_random, ("trials",)),
+    "oscillator": (_scenario_oscillator, ("mean_photon", "dephasing")),
 }
 
 
@@ -323,8 +327,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         raise UrlabError(
             f"unknown scenario {cfg.name!r}; available: {', '.join(scenario_names())}"
         )
+    run, accepted = _SCENARIOS[cfg.name]
+    unknown = sorted(set(cfg.params) - set(accepted))
+    if unknown:
+        raise UrlabError(f"unknown parameter(s) {', '.join(unknown)} for scenario "
+                         f"{cfg.name!r}; accepted: {', '.join(accepted)}")
     started = time.time()
-    rows, dims = _SCENARIOS[cfg.name](cfg)
+    rows, dims = run(cfg)
     return RunReport(
         scenario=cfg.name, rows=rows, metadata=new_metadata(cfg.seed, dims, started)
     )

@@ -142,10 +142,28 @@ def test_rank_cut_drops_a_negligible_block():
     assert j.quad(np.eye(6)[0]) == pytest.approx(0.8, rel=1e-12)
 
 
-def test_factor_without_zeros_takes_one_dense_svd(svd_shapes):
-    b = np.random.default_rng(5).normal(size=(7, 4))
-    assert FisherOperator(b).rank == 4
-    assert svd_shapes == [(7, 4)]
+def mixed_block_factor():
+    """1x1 blocks at (0, 6) and (5, 2), a 2x3 block on rows 1, 3 and columns 0, 4, 7,
+    a 2x2 block on rows 2, 4 and columns 1, 3, a zero row 6 and a zero column 5."""
+    b = np.zeros((7, 8), complex)
+    b[0, 6], b[5, 2] = -2.0, 3j
+    b[np.ix_([1, 3], [0, 4, 7])] = [[1, 2, 0.5], [-1, 1, 3]]
+    b[np.ix_([2, 4], [1, 3])] = [[1, 1j], [2, -1]]
+    return b
+
+
+@pytest.mark.parametrize(
+    "b, svd_shape, rank",
+    [(np.random.default_rng(5).normal(size=(7, 4)), (7, 4), 4),
+     (mixed_block_factor(), (4, 5), 6),
+     (np.diag([2.0, -1.0, 0.5, 0.0]), None, 3)],
+    ids=["no-zeros", "mixed-blocks", "diagonal"],
+)
+def test_one_svd_outside_the_1x1_blocks(svd_shapes, b, svd_shape, rank):
+    # a factor without zeros takes one dense SVD; otherwise the nonzero rows and
+    # columns outside the 1x1 blocks take one SVD, which may be empty
+    assert FisherOperator(b).rank == rank
+    assert [s for s in svd_shapes if np.prod(s)] == ([svd_shape] if svd_shape else [])
 
 
 def test_model_from_povm_unsharp_qubit():

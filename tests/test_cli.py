@@ -143,6 +143,27 @@ class TestScenarioCommand:
         assert "Error: eta must be in (0, 1)" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("r", ["2", "-1.5", "nan"])
+    def test_qubit_unsharp_rejects_bloch_length_outside_unit_interval(self, runner, r):
+        res = runner.invoke(main, ["scenario", "qubit-unsharp", "--param", f"r={r}"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: r must be in [-1, 1]" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("r", ["1", "-1"])
+    def test_qubit_unsharp_accepts_a_pure_state(self, runner, r):
+        res = runner.invoke(main, ["scenario", "qubit-unsharp", "--param", f"r={r}"])
+        assert res.exit_code == 0, res.output
+
+    def test_unknown_param_is_rejected(self, runner):
+        res = runner.invoke(main, ["scenario", "oscillator", "--param", "dephasng=0.9"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: unknown parameter(s) dephasng")
+        assert "accepted: mean_photon, dephasing" in res.output
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("trials", ["0", "-3", "nan", "inf", "2.5"])
     @pytest.mark.parametrize("name", ["qubit-unsharp", "qutrit-random"])
     def test_scenario_trials_must_be_a_positive_integer(self, runner, name, trials):
@@ -195,9 +216,10 @@ class TestScenarioCommand:
     @pytest.mark.parametrize(
         "content",
         [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}},
-         {"dim": "3"}, {"seed": 1.5}, {"cutoffs": ["a"]}, {"cutoffs": 8}],
+         {"dim": "3"}, {"seed": 1.5}, {"cutoffs": ["a"]}, {"cutoffs": 8},
+         {"params": {"etaa": 0.9}}],
         ids=["unknown-key", "not-an-object", "non-numeric-param", "string-dim",
-             "float-seed", "non-integer-cutoff", "scalar-cutoffs"],
+             "float-seed", "non-integer-cutoff", "scalar-cutoffs", "unknown-param"],
     )
     def test_bad_config_is_click_error(self, runner, tmp_path, content):
         cfg = tmp_path / "cfg.json"

@@ -136,11 +136,12 @@ def test_dephasing_disturbance_oracle_at_large_cutoffs(d):
     assert res.value == pytest.approx(variance(s.rho, q) * ((1 - 0.3) ** -2 - 1), rel=1e-12)
 
 
-def test_pushed_sld_factor_takes_one_batched_svd_per_block_shape(svd_shapes):
-    # in the Fock basis every off-diagonal coordinate is its own 1x1 block, and the
-    # d diagonal entries against the d-1 diagonal Gell-Mann directions form one block
+def test_pushed_sld_factor_takes_one_svd_of_its_diagonal_block(svd_shapes):
+    # in the Fock basis every off-diagonal coordinate is its own 1x1 block, which
+    # takes no SVD; the d diagonal entries against the d-1 diagonal Gell-Mann
+    # directions form the one block left
     d = 32
     j = quantum_fisher(thermal_state(d, 2.0), SLD_FUNCTION,
                        pushforward=number_dephasing_channel(d, 0.3))
-    assert sorted(svd_shapes) == [(1, d, d - 1), (d * (d - 1), 1, 1)]
+    assert svd_shapes == [(d, d - 1)]
     assert j.rank == d * d - 1
