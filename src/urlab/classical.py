@@ -7,8 +7,9 @@ and Monte Carlo variance estimates.  FisherOperator holds a Fisher matrix
 through a Gram factor B with J = B^H B; the quantum Fisher informations of
 qfisher use the same type, so error and disturbance share one quadratic form.
 B's 1x1 blocks (entries alone in their row and column) are read off
-directly and the rest of B takes one thin SVD; the rank is cut on B's singular
-values at max(B.shape) * eps * s_max as for one dense SVD.
+directly and the rest of B takes one thin SVD, of the R of its QR when it has
+at least twice as many rows as columns; the rank is cut on B's singular values
+at max(B.shape) * eps * s_max, on B's shape and not R's, as for one dense SVD.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ class StatisticalModel:
         return self.probs.size
 
 
+def _thin_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of b and V^H from one thin SVD; a b with at least twice as
+    many rows as columns takes it of the R of its QR, so U is never formed."""
+    if b.shape[0] >= 2 * b.shape[1]:
+        b = np.linalg.qr(b, mode="r")
+    return np.linalg.svd(b, full_matrices=False)[1:]
+
+
 def _block_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of b in descending order, and the matching rows of V^H.
 
@@ -76,7 +85,7 @@ def _block_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows and columns take one thin SVD; zero rows and columns are left out.
     """
     if np.count_nonzero(b) == b.size:
-        return np.linalg.svd(b, full_matrices=False)[1:]
+        return _thin_svd(b)
     nz = b != 0
     nrow, ncol = nz.sum(axis=1), nz.sum(axis=0)
     r = np.flatnonzero(nrow == 1)
@@ -85,7 +94,7 @@ def _block_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r, c = r[alone], c[alone]
     rows, cols = nrow > 0, ncol > 0
     rows[r] = cols[c] = False
-    sv, v = np.linalg.svd(b[rows][:, cols], full_matrices=False)[1:]
+    sv, v = _thin_svd(b[rows][:, cols])
     sv = np.concatenate([np.abs(b[r, c]), sv])
     vh = np.zeros((sv.size, b.shape[1]), v.dtype)
     vh[np.arange(r.size), c] = 1
@@ -100,7 +109,9 @@ class FisherOperator:
     The SVD B = U S V^H (one thin SVD when B has no zero entry, otherwise
     B's 1x1 blocks read off directly and one thin SVD of the rest) fixes the
     numerical rank: singular values of B (not of J, which would square the
-    condition number) at or below max(B.shape) * eps * s_max are cut.  The
+    condition number) at or below max(B.shape) * eps * s_max are cut, with
+    B's shape even where a tall block (rows >= 2 cols) is first reduced to
+    the square R of its QR, whose SVD has the same S and V.  U is not kept.  The
     kept right singular vectors V_r span range(J), so (a, J^+ b) is the dot
     product of S^{-1} V_r^H a and S^{-1} V_r^H b, and a leaves the range by
     its residual a - V_r V_r^H a.
@@ -165,17 +176,17 @@ def _model_on_support(outcomes, probs, numer, effects=None) -> StatisticalModel:
     Given the effects, dropping an outcome whose effect is not negligible raises.
     """
     keep = probs > P_FLOOR
-    if effects is not None:
-        singular = ~keep & (np.linalg.norm(effects, axis=(1, 2)) > 1e-10)
-        if singular.any():
-            x = singular.argmax()
-            raise SingularModelError(f"outcome {outcomes[x]!r} has probability "
-                                     f"{probs[x]:.3e} but a non-negligible effect")
-    kept = probs[keep]
+    if not keep.all():
+        if effects is not None:
+            singular = ~keep & (np.linalg.norm(effects, axis=(1, 2)) > 1e-10)
+            if singular.any():
+                x = singular.argmax()
+                raise SingularModelError(f"outcome {outcomes[x]!r} has probability "
+                                         f"{probs[x]:.3e} but a non-negligible effect")
+        outcomes = tuple(o for o, k in zip(outcomes, keep) if k)
+        probs, numer = probs[keep], numer[keep]
     return StatisticalModel(
-        outcomes=tuple(o for o, k in zip(outcomes, keep) if k),
-        probs=kept / kept.sum(),
-        scores=numer[keep] / kept[:, None],
+        outcomes=outcomes, probs=probs / probs.sum(), scores=numer / probs[:, None]
     )
 
 

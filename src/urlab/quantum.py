@@ -79,8 +79,10 @@ class Povm:
         if len(outcomes) != len(effects):
             raise InvalidOperandError("outcomes and effects length mismatch")
         tol = 1e-10 * np.maximum(np.linalg.norm(effects, axis=(1, 2)), 1.0)
+        shifted = effects.copy()  # E + tol I, with tol added on the diagonal
+        shifted.reshape(len(effects), -1)[:, :: effects.shape[1] + 1] += tol[:, None]
         try:  # E + tol I is positive definite for every effect: each is PSD to tol
-            np.linalg.cholesky(effects + tol[:, None, None] * np.eye(effects.shape[1]))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:  # the eigenvalue rule decides and names the effect
             negative = np.linalg.eigvalsh(effects)[:, 0] < -tol
             if negative.any():

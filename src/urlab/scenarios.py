@@ -531,6 +531,8 @@ def run_verify(
     """Run a randomized property suite and report per-property extremes."""
     if trials < 1:
         raise UrlabError("trials must be >= 1")
+    if seed < 0:
+        raise UrlabError("seed must be nonnegative")
     if dim_max < 2:
         raise UrlabError("dim_max must be >= 2")
     names = sorted(_SUITES) if suite == "all" else [suite]

@@ -103,9 +103,14 @@ def dense_reference(b):
 def test_block_svd_matches_dense_svd(seed, shapes, zero_rows, zero_cols, complex_):
     rng = np.random.default_rng(seed)
     b = block_factor(rng, shapes, zero_rows, zero_cols, complex_)
+    assert_matches_dense_reference(rng, b, sum(min(p, q) for p, q in shapes), complex_)
+
+
+def assert_matches_dense_reference(rng, b, rank, complex_):
+    """FisherOperator(b)'s rank, quad, kernel residual, in_range and pinv against one dense SVD."""
     j = FisherOperator(b)
     r, sv, vh = dense_reference(b)
-    assert j.rank == r == sum(min(p, q) for p, q in shapes)
+    assert j.rank == r == rank
     n = b.shape[1]
     a, c = gaussian(rng, n, complex_), gaussian(rng, n, complex_)
     scale = np.sqrt(j.quad(a) * j.quad(c))
@@ -156,14 +161,36 @@ def mixed_block_factor():
     "b, svd_shape, rank",
     [(np.random.default_rng(5).normal(size=(7, 4)), (7, 4), 4),
      (mixed_block_factor(), (4, 5), 6),
-     (np.diag([2.0, -1.0, 0.5, 0.0]), None, 3)],
-    ids=["no-zeros", "mixed-blocks", "diagonal"],
+     (np.diag([2.0, -1.0, 0.5, 0.0]), None, 3),
+     (np.random.default_rng(6).normal(size=(40, 6)), (6, 6), 6)],
+    ids=["no-zeros", "mixed-blocks", "diagonal", "tall"],
 )
 def test_one_svd_outside_the_1x1_blocks(svd_shapes, b, svd_shape, rank):
     # a factor without zeros takes one dense SVD; otherwise the nonzero rows and
-    # columns outside the 1x1 blocks take one SVD, which may be empty
+    # columns outside the 1x1 blocks take one SVD, which may be empty; one with
+    # rows >= 2 cols takes it of the (cols, cols) R of its QR
     assert FisherOperator(b).rank == rank
     assert [s for s in svd_shapes if np.prod(s)] == ([svd_shape] if svd_shape else [])
+
+
+def test_tall_factor_matches_dense_reference():
+    # 40x6 of rank 4: the QR-first path cuts the rank and whitens as one dense SVD
+    rng = np.random.default_rng(11)
+    b = gaussian(rng, (40, 4), True) @ gaussian(rng, (4, 6), True)
+    assert_matches_dense_reference(rng, b, 4, True)
+
+
+def test_tall_factor_rank_cut_uses_the_factor_shape():
+    # s_min = 23 eps s_max lies between the cuts 6 eps s_max (R's shape) and
+    # 40 eps s_max (B's shape): the rank is cut on B's shape, so s_min goes
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    u = np.linalg.qr(rng.normal(size=(40, 6)))[0]
+    v = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+    b = (u * [1.0, 0.8, 0.5, 0.3, 0.1, 23 * eps]) @ v.T
+    s_min = np.linalg.svd(np.linalg.qr(b, mode="r"), compute_uv=False)[-1]
+    assert 6 * eps < s_min < 40 * eps
+    assert FisherOperator(b).rank == dense_reference(b)[0] == 5
 
 
 def test_model_from_povm_unsharp_qubit():

@@ -301,6 +301,15 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--trials", "0"])
         assert res.exit_code != 0
 
+    @pytest.mark.parametrize("seed", ["-1", "-8000"])
+    def test_negative_seed_is_rejected(self, runner, seed):
+        # -1 would run on shifted streams, -8000 ended in a numpy traceback
+        res = runner.invoke(main, ["verify", "--seed", seed, "--trials", "1"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: seed must be nonnegative" in res.output
+        assert "Traceback" not in res.output
+
 
 class TestSweepCommand:
     def test_oscillator_sweep(self, runner, tmp_path):

@@ -22,6 +22,7 @@ from urlab.errors import InvalidOperandError
 from urlab.quantum import identity_channel
 from urlab.randoms import (
     random_channel,
+    random_complex,
     random_hermitian,
     random_instrument,
     random_state,
@@ -93,6 +94,35 @@ def test_full_dephasing_makes_transverse_disturbance_infinite():
     assert dist.is_infinite
 
 
+def two_operator_sets_case(gen):
+    """Three outcomes of two Kraus operators each on d=3, so every effect sums two terms."""
+    kraus = random_channel(gen, 3, 6).kraus
+    ins = CpInstrument(outcomes=("a", "b", "c"), kraus_sets=(kraus[:2], kraus[2:4], kraus[4:]))
+    return ins, pvm_of_observable(random_hermitian(gen, 3))
+
+
+def rank_two_pvm_case(gen):
+    """A random one-operator instrument on d=3 and a PVM with a rank-2 projector."""
+    u = np.linalg.qr(random_complex(gen, (3, 3)))[0]
+    pvm = pvm_of_observable(u @ np.diag([1.0, 1.0, -1.0]) @ u.conj().T)
+    assert sorted(round(np.trace(e).real) for e in pvm.effects) == [1, 2]
+    return random_instrument(gen, 3, 4), pvm
+
+
+def mixed_set_sizes_case(gen):
+    """Kraus sets of sizes 1 and 3 in one instrument on d=3."""
+    kraus = random_channel(gen, 3, 4).kraus
+    ins = CpInstrument(outcomes=("one", "three"), kraus_sets=(kraus[:1], kraus[1:]))
+    return ins, pvm_of_observable(random_hermitian(gen, 3))
+
+
+def rectangular_case(gen):
+    """Three 3x2 Kraus operators whose vertical stack is an isometry: d=2 -> d'=3."""
+    kraus = np.linalg.qr(random_complex(gen, (9, 2)))[0].reshape(3, 3, 2)
+    ins = CpInstrument(outcomes=(0, 1, 2), kraus_sets=tuple(kraus[:, None]))
+    return ins, pvm_of_observable(random_hermitian(gen, 3))
+
+
 class TestJointPovm:
     def test_luders_times_sigma_x(self):
         joint = joint_povm(luders_z_instrument(), pvm_of_observable(SIGMA_X))
@@ -123,15 +153,17 @@ class TestJointPovm:
         for e_joint, e_pvm in zip(joint.effects, pvm.effects):
             np.testing.assert_allclose(e_joint, e_pvm, atol=1e-12)
 
-    def test_induced_and_joint_povm_equal_explicit_sums(self):
-        # two Kraus operators per outcome, so every effect sums two terms
-        gen = rng_from_seed(28)
-        kraus = random_channel(gen, 3, 6).kraus
-        ins = CpInstrument(outcomes=("a", "b", "c"), kraus_sets=(kraus[:2], kraus[2:4], kraus[4:]))
-        pvm = pvm_of_observable(random_hermitian(gen, 3))
+    @pytest.mark.parametrize(
+        "case",
+        [two_operator_sets_case, rank_two_pvm_case, mixed_set_sizes_case, rectangular_case],
+        ids=["sets-of-2", "rank-2-projector", "sets-of-1-and-3", "rectangular-2-to-3"],
+    )
+    def test_induced_and_joint_povm_equal_explicit_sums(self, case):
+        ins, pvm = case(rng_from_seed(28))
         induced = induced_povm(ins)
         joint = joint_povm(ins, pvm)
         assert induced.outcomes == ins.outcomes
+        assert joint.dim == induced.dim == ins.dim
         assert joint.outcomes == tuple((x, y) for x in ins.outcomes for y in pvm.outcomes)
         for ks, e in zip(ins.kraus_sets, induced.effects):
             np.testing.assert_allclose(e, sum(k.conj().T @ k for k in ks), rtol=0, atol=1e-14)
