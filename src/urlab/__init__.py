@@ -23,7 +23,6 @@ from .errors import (
 )
 from .operator_core import (
     BOGOLIUBOV_FUNCTION,
-    EPS_POS,
     MonotoneFunction,
     RLD_FUNCTION,
     SLD_FUNCTION,

@@ -25,7 +25,7 @@ from .errors import (
     SingularModelError,
 )
 from .operator_core import TangentBasis, tangent_basis
-from .quantum import Povm, QuantumState, _as_state_matrix
+from .quantum import Povm, QuantumState, _as_state
 
 # Outcomes with probability at or below this floor are dropped, provided their
 # effect is numerically zero; otherwise the model is flagged singular.
@@ -200,7 +200,7 @@ def model_from_povm(
     itself negligible; otherwise the model is singular (the state is not
     strictly positive or the POVM is inconsistent).
     """
-    rho = _as_state_matrix(s)
+    rho = _as_state(s).rho
     d = rho.shape[0]
     if m.dim != d:
         raise InvalidOperandError("state and POVM dimension mismatch")

@@ -20,7 +20,10 @@ def _finish(report: RunReport, out: str | None, fmt: str) -> None:
             f"value={row.value:.6g} bound={row.bound:.6g} [{row.status}]"
         )
     if out:
-        emit(report, fmt, out)
+        try:
+            emit(report, fmt, out)
+        except UrlabError as exc:
+            raise click.ClickException(str(exc)) from exc
         click.echo(f"wrote {fmt} report to {out}")
     if not report.all_pass:
         sys.exit(1)

@@ -14,7 +14,7 @@ class InvalidOperandError(UrlabError):
 
 
 class SingularStateError(InvalidOperandError):
-    """A state eigenvalue fell below the strict-positivity floor."""
+    """A state to be inverted has its smallest eigenvalue at or below d eps max|lambda|."""
 
 
 class SingularModelError(UrlabError):

@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import InvalidDimensionError, InvalidOperandError, SingularStateError
 
-# Strict-positivity floor for state eigenvalues.  Anything below this is
-# treated as a singular state and rejected.
-EPS_POS = 1e-10
-
 # Relative tolerance for hermiticity checks.
 HERM_RTOL = 1e-12
 
@@ -49,12 +45,9 @@ def require_hermitian(a: np.ndarray, what: str = "operand") -> np.ndarray:
     return a
 
 
-def require_positive_spectrum(w: np.ndarray) -> None:
-    """Raise SingularStateError when a state eigenvalue in w is below EPS_POS."""
-    if w.min() < EPS_POS:
-        raise SingularStateError(
-            f"state eigenvalue {w.min():.3e} below positivity floor {EPS_POS:.0e}"
-        )
+def eigh_tol(w: np.ndarray) -> float:
+    """d eps max|lambda|, eigh's accuracy on the eigenvalues w of a d x d Hermitian matrix."""
+    return w.size * np.finfo(float).eps * np.abs(w).max()
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -349,9 +342,13 @@ class SuperOperatorKf:
 
 
 def kf_superoperator(rho: np.ndarray, f: MonotoneFunction) -> SuperOperatorKf:
-    """Diagonalize a strictly positive state and build its K^f superoperator."""
+    """Diagonalize a state and build its K^f superoperator, which inverts the state.
+
+    Raises SingularStateError unless the smallest eigenvalue exceeds eigh_tol.
+    """
     rho = require_hermitian(rho, "state")
     w, u = np.linalg.eigh(rho)
-    require_positive_spectrum(w)
+    if w[0] <= eigh_tol(w):
+        raise SingularStateError(f"state eigenvalue {w[0]:.3e} is not above {eigh_tol(w):.1e}")
     coeff = f.kernel_coefficient(w[:, None], w[None, :])
     return SuperOperatorKf(state_eigenvalues=w, state_eigenvectors=u, coefficients=coeff)

@@ -27,7 +27,7 @@ def quadrature_p(dim: int) -> np.ndarray:
 
 
 def thermal_state(dim: int, mean_photon: float) -> QuantumState:
-    """Truncated thermal state, renormalized so it stays full rank."""
+    """Truncated thermal state, renormalized; its levels fall geometrically with n."""
     if not 0 < mean_photon < np.inf:
         raise InvalidOperandError("mean photon number must be positive and finite")
     n = np.arange(dim)

@@ -31,7 +31,7 @@ from .quantum import (
     KrausChannel,
     Povm,
     QuantumState,
-    _as_state_matrix,
+    _as_state,
     pvm_of_observable,
 )
 
@@ -44,7 +44,7 @@ def log_derivative(
     For the SLD function this solves (rho L + L rho) / 2 = phi and is
     Hermitian; for the RLD function it equals rho^{-1} phi.
     """
-    rho = _as_state_matrix(s)
+    rho = _as_state(s).rho
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != rho.shape:
         raise InvalidOperandError("direction dimension mismatch")
@@ -69,7 +69,7 @@ def quantum_fisher(
     (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] is basis.inner of t with
     axes ordered (i, m, k, j), because e_a is Hermitian.
     """
-    rho = _as_state_matrix(s)
+    rho = _as_state(s).rho
     d = rho.shape[0]
     if basis is None:
         basis = tangent_basis(d)
@@ -102,17 +102,17 @@ class CramerRaoReport:
 def quantum_cr_check(
     s: QuantumState | np.ndarray, m: Povm, basis: TangentBasis | None = None
 ) -> CramerRaoReport:
-    """Check J^M <= J^S and J^M <= J^R for a POVM on a full-rank state.
+    """Check J^M <= J^S and J^M <= J^R for a POVM on a strictly positive state.
 
     The RLD gap is evaluated as a Hermitian form on the complexified
     coordinates, with the (real) classical Fisher matrix embedded.
     """
-    rho = _as_state_matrix(s)
+    s = _as_state(s)
     if basis is None:
-        basis = tangent_basis(rho.shape[0])
-    jm = fisher_operator(model_from_povm(rho, m, basis)).matrix
-    sld = quantum_fisher(rho, SLD_FUNCTION, basis=basis)
-    rld = quantum_fisher(rho, RLD_FUNCTION, basis=basis)
+        basis = tangent_basis(s.dim)
+    jm = fisher_operator(model_from_povm(s, m, basis)).matrix
+    sld = quantum_fisher(s, SLD_FUNCTION, basis=basis)
+    rld = quantum_fisher(s, RLD_FUNCTION, basis=basis)
     js, jr = sld.matrix, rld.matrix
     sld_gap = float(np.linalg.eigvalsh(js - jm).min())
     rld_gap = float(np.linalg.eigvalsh(jr - jm.astype(complex)).min())
@@ -144,7 +144,7 @@ def monotone_metric_value(
     w: np.ndarray,
 ) -> complex:
     """G^f_rho(V, W) = Tr[V^dagger (K^f_rho)^{-1} W]."""
-    rho = _as_state_matrix(s)
+    rho = _as_state(s).rho
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if v.shape != rho.shape or w.shape != rho.shape:

@@ -2,7 +2,9 @@
 
 Observables and tangent directions are plain Hermitian numpy arrays; the
 structured objects (states, POVMs, channels, instruments) validate their
-defining constraints on construction and are immutable afterwards.  Operator
+defining constraints on construction and are immutable afterwards.  A state
+passed as a raw matrix becomes a QuantumState once per call, by one rule:
+Hermitian, unit trace, smallest eigenvalue at least -eigh_tol.  Operator
 families (effects, Kraus operators) are single complex (n, rows, cols) arrays,
 and an instrument keeps its total channel.  A POVM's effects pass the PSD test
 with one batched Cholesky factorization of E + tol I; only when that fails do
@@ -17,24 +19,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOperandError
-from .operator_core import (
-    dagger,
-    is_hermitian,
-    project_traceless,
-    require_hermitian,
-    require_positive_spectrum,
-)
+from .operator_core import dagger, eigh_tol, is_hermitian, project_traceless, require_hermitian
 
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Full-rank density matrix, validated once; rho is the validated matrix."""
+    """Density matrix, validated once; rho is the validated matrix.
+
+    Hermitian, unit trace, and PSD to eigh's accuracy: its smallest eigenvalue
+    is at least -eigh_tol.  Rank-deficient states are admitted; kf_superoperator,
+    which inverts a state, is where strict positivity is required.
+    """
 
     base: np.ndarray
 
     def __post_init__(self):
-        base = _require_unit_trace(require_hermitian(self.base, "state"))
-        require_positive_spectrum(np.linalg.eigvalsh(base))
+        base = require_hermitian(self.base, "state")
+        trace = base.trace().real
+        if abs(trace - 1.0) > 1e-12 * base.shape[0]:
+            raise InvalidOperandError(f"trace is {trace}, expected 1")
+        w = np.linalg.eigvalsh(base)
+        if w[0] < -eigh_tol(w):
+            raise InvalidOperandError(f"state eigenvalue {w[0]:.3e} is negative")
         object.__setattr__(self, "base", base)
 
     @property
@@ -46,11 +52,9 @@ class QuantumState:
         return self.base.shape[0]
 
 
-def _require_unit_trace(rho: np.ndarray) -> np.ndarray:
-    trace = rho.trace().real
-    if abs(trace - 1.0) > 1e-12 * rho.shape[0]:
-        raise InvalidOperandError(f"trace is {trace}, expected 1")
-    return rho
+def _as_state(s) -> QuantumState:
+    """s itself when it is a QuantumState, else the QuantumState of the matrix s."""
+    return s if isinstance(s, QuantumState) else QuantumState(base=s)
 
 
 def _operator_stack(ops, what: str) -> np.ndarray:
@@ -173,16 +177,9 @@ class CpInstrument:
         return self.channel.dim_in
 
 
-def _as_state_matrix(s) -> np.ndarray:
-    """The density matrix of a QuantumState, or a Hermitian unit-trace matrix as is."""
-    if isinstance(s, QuantumState):
-        return s.rho
-    return _require_unit_trace(require_hermitian(s, "state"))
-
-
 def expectation(s, a: np.ndarray) -> float:
     """<A> = Tr[rho A]; the imaginary residue must be negligible."""
-    rho = _as_state_matrix(s)
+    rho = _as_state(s).rho
     a = np.asarray(a, dtype=complex)
     if a.shape != rho.shape:
         raise InvalidOperandError("observable dimension mismatch")
@@ -194,7 +191,7 @@ def expectation(s, a: np.ndarray) -> float:
 
 def correlation(s, a: np.ndarray, b: np.ndarray) -> complex:
     """C(A, B) = <A* B> - <A><B> (complex in general)."""
-    rho = _as_state_matrix(s)
+    rho = _as_state(s).rho
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != rho.shape or b.shape != rho.shape:
@@ -206,6 +203,7 @@ def correlation(s, a: np.ndarray, b: np.ndarray) -> complex:
 
 def sym_correlation(s, a: np.ndarray, b: np.ndarray) -> float:
     """Symmetrized correlation (C(A,B) + C(B,A)) / 2, real for Hermitian A, B."""
+    s = _as_state(s)
     val = (correlation(s, a, b) + correlation(s, b, a)) / 2
     return val.real
 
@@ -222,7 +220,7 @@ def grad_expectation(s, a: np.ndarray) -> np.ndarray:
 
     Independent of the parameter because the state family is affine.
     """
-    rho = _as_state_matrix(s)
+    rho = _as_state(s).rho
     a = np.asarray(a, dtype=complex)
     if a.shape != rho.shape:
         raise InvalidOperandError("observable dimension mismatch")

@@ -24,7 +24,7 @@ from .quantum import (
     KrausChannel,
     Povm,
     QuantumState,
-    _as_state_matrix,
+    _as_state,
     average_channel,
     grad_expectation,
     induced_povm,
@@ -69,23 +69,23 @@ def measurement_error(
     basis: TangentBasis | None = None,
 ) -> ErrorResult:
     """epsilon(A; rho, M): estimation bound of <A> under M minus sigma^2(A)."""
-    rho = _as_state_matrix(s)
+    s = _as_state(s)
     if basis is None:
-        basis = tangent_basis(rho.shape[0])
-    grad = grad_expectation(rho, a)
-    j = fisher_operator(model_from_povm(rho, m, basis))
-    return _error_from_operator(j, basis.coords(grad), variance(rho, a))
+        basis = tangent_basis(s.dim)
+    grad = grad_expectation(s, a)
+    j = fisher_operator(model_from_povm(s, m, basis))
+    return _error_from_operator(j, basis.coords(grad), variance(s, a))
 
 
 def _disturbance_and_fisher(
-    rho: np.ndarray, a: np.ndarray, e: KrausChannel, basis: TangentBasis
+    s: QuantumState, a: np.ndarray, e: KrausChannel, basis: TangentBasis
 ) -> tuple[ErrorResult, FisherOperator, np.ndarray]:
-    """eta(A; rho, E), the pushed SLD Fisher operator, and grad<A> coordinates."""
-    if e.dim_in != rho.shape[0] or e.dim_out != np.asarray(a).shape[0]:
-        raise InvalidOperandError("channel dimensions incompatible with observable")
-    grad = basis.coords(grad_expectation(rho, a))
-    j = quantum_fisher(rho, SLD_FUNCTION, pushforward=e, basis=basis)
-    return _error_from_operator(j, grad, variance(rho, a)), j, grad
+    """eta(A; rho, E) for A on E's input, the pushed SLD Fisher operator, grad<A> coordinates."""
+    if e.dim_in != s.dim:
+        raise InvalidOperandError("channel input dimension does not match the state")
+    grad = basis.coords(grad_expectation(s, a))
+    j = quantum_fisher(s, SLD_FUNCTION, pushforward=e, basis=basis)
+    return _error_from_operator(j, grad, variance(s, a)), j, grad
 
 
 def disturbance(
@@ -95,10 +95,10 @@ def disturbance(
     basis: TangentBasis | None = None,
 ) -> ErrorResult:
     """eta(A; rho, E): increase of the SLD-optimal bound caused by the channel."""
-    rho = _as_state_matrix(s)
+    s = _as_state(s)
     if basis is None:
-        basis = tangent_basis(rho.shape[0])
-    return _disturbance_and_fisher(rho, a, e, basis)[0]
+        basis = tangent_basis(s.dim)
+    return _disturbance_and_fisher(s, a, e, basis)[0]
 
 
 def joint_povm(ins: CpInstrument, pvm: Povm) -> Povm:
@@ -165,14 +165,14 @@ class UncertaintyReport:
         return self.margin >= 0
 
 
-def _r_term(rho, a, b, j, ga, gb) -> float:
+def _r_term(s, a, b, j, ga, gb) -> float:
     """R^M(A, B) = (grad<A>, (J^M)^+ grad<B>) - C^S(A, B), from the gradient coordinates."""
-    return j.quad(ga, gb) - sym_correlation(rho, a, b)
+    return j.quad(ga, gb) - sym_correlation(s, a, b)
 
 
-def _commutator_term(rho, a, b) -> float:
+def _commutator_term(s, a, b) -> float:
     comm = a @ b - b @ a
-    return 0.25 * abs(complex(np.trace(rho @ comm))) ** 2
+    return 0.25 * abs(complex(np.trace(s.rho @ comm))) ** 2
 
 
 def error_error_report(
@@ -183,17 +183,17 @@ def error_error_report(
     basis: TangentBasis | None = None,
 ) -> UncertaintyReport:
     """eps(A) eps(B) >= R^M(A,B)^2 + |<[A,B]>|^2 / 4 for a simultaneous POVM."""
-    rho = _as_state_matrix(s)
+    s = _as_state(s)
     if basis is None:
-        basis = tangent_basis(rho.shape[0])
-    j = fisher_operator(model_from_povm(rho, m, basis))
-    ga = basis.coords(grad_expectation(rho, a))
-    gb = basis.coords(grad_expectation(rho, b))
+        basis = tangent_basis(s.dim)
+    j = fisher_operator(model_from_povm(s, m, basis))
+    ga = basis.coords(grad_expectation(s, a))
+    gb = basis.coords(grad_expectation(s, b))
     return UncertaintyReport(
-        eps_a=_error_from_operator(j, ga, variance(rho, a)),
-        eps_or_eta_b=_error_from_operator(j, gb, variance(rho, b)),
-        r_term=_r_term(rho, a, b, j, ga, gb),
-        commutator_term=_commutator_term(rho, a, b),
+        eps_a=_error_from_operator(j, ga, variance(s, a)),
+        eps_or_eta_b=_error_from_operator(j, gb, variance(s, b)),
+        r_term=_r_term(s, a, b, j, ga, gb),
+        commutator_term=_commutator_term(s, a, b),
     )
 
 
@@ -246,24 +246,24 @@ def error_disturbance_report(
     evaluated in the same M.  X is the least-norm solution, so M is defined
     even when eta(B) is infinite.
     """
-    rho = _as_state_matrix(s)
+    s = _as_state(s)
     if basis is None:
-        basis = tangent_basis(rho.shape[0])
+        basis = tangent_basis(s.dim)
     avg = average_channel(ins)
-    ga, var_a = basis.coords(grad_expectation(rho, a)), variance(rho, a)
-    j_a = fisher_operator(model_from_povm(rho, induced_povm(ins), basis))
+    ga, var_a = basis.coords(grad_expectation(s, a)), variance(s, a)
+    j_a = fisher_operator(model_from_povm(s, induced_povm(ins), basis))
     eps_a = _error_from_operator(j_a, ga, var_a)
-    eta_b, j_s, gb = _disturbance_and_fisher(rho, b, avg, basis)
-    sigma, ex = avg(np.stack([rho, basis.matrix(j_s.pinv @ gb)]))
+    eta_b, j_s, gb = _disturbance_and_fisher(s, b, avg, basis)
+    sigma, ex = avg(np.stack([s.rho, basis.matrix(j_s.pinv @ gb)]))
     joint = joint_povm(ins, sld_optimal_pvm(sigma, ex))
-    j_joint = fisher_operator(model_from_povm(rho, joint, basis))
+    j_joint = fisher_operator(model_from_povm(s, joint, basis))
     eps_a_joint = _error_from_operator(j_joint, ga, var_a)
     eps_b_joint = _error_from_operator(j_joint, gb, eta_b.variance)
     return ErrorDisturbanceReport(
         eps_a=eps_a,
         eps_or_eta_b=eta_b,
-        r_term=_r_term(rho, a, b, j_joint, ga, gb),
-        commutator_term=_commutator_term(rho, a, b),
+        r_term=_r_term(s, a, b, j_joint, ga, gb),
+        commutator_term=_commutator_term(s, a, b),
         eps_a_joint=eps_a_joint,
         eps_b_joint=eps_b_joint,
     )

@@ -378,3 +378,21 @@ class TestSweepCommand:
         # an empty list is a usage error, not the default sweep
         res = runner.invoke(main, ["sweep", "oscillator", "--cutoffs", ","])
         assert res.exit_code == 2, res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scenario", "qubit-instrument"],
+        ["verify", "--suite", "classical", "--trials", "1"],
+        ["sweep", "oscillator", "--cutoffs", "4,6"],
+    ],
+    ids=["scenario", "verify", "sweep"],
+)
+def test_unwritable_out_is_click_error(runner, tmp_path, args):
+    # the report is computed, then writing it fails: an error line, not a traceback
+    out = tmp_path / "missing" / "report.csv"
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: cannot write {out}" in res.output

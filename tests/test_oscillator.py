@@ -14,7 +14,7 @@ from urlab import (
     quantum_fisher,
     variance,
 )
-from urlab.errors import InvalidOperandError
+from urlab.errors import InvalidOperandError, SingularStateError
 from urlab.oscillator import (
     annihilation,
     homodyne_q_pvm,
@@ -127,10 +127,16 @@ def test_classical_and_quantum_fisher_share_one_type():
     assert isinstance(quantum_fisher(s, SLD_FUNCTION, pushforward=ch), FisherOperator)
 
 
-@pytest.mark.parametrize("d", [24, 32, 40])
-def test_dephasing_disturbance_oracle_at_large_cutoffs(d):
-    # mean photon number 2 keeps the smallest level of the d=40 state above EPS_POS
-    s = thermal_state(d, 2.0)
+@pytest.mark.parametrize(
+    "nbar, d",
+    [(2.0, 24), (2.0, 32), (2.0, 40), (1.0, 36), (1.0, 40)],
+    ids=["24", "32", "40", "nbar1-36", "nbar1-40"],
+)
+def test_dephasing_disturbance_oracle_at_large_cutoffs(nbar, d):
+    # at mean photon number 1 the smallest levels of the d=36 and d=40 states
+    # are 1.5e-11 and 9.1e-13: far below any fixed floor of 1e-10, yet well
+    # above the accuracy d eps max|lambda| of their eigenvalues
+    s = thermal_state(d, nbar)
     q = quadrature_q(d)
     res = disturbance(s, q, number_dephasing_channel(d, 0.3))
     assert res.value == pytest.approx(variance(s.rho, q) * ((1 - 0.3) ** -2 - 1), rel=1e-12)
@@ -145,3 +151,13 @@ def test_pushed_sld_factor_takes_one_svd_of_its_diagonal_block(svd_shapes):
                        pushforward=number_dephasing_channel(d, 0.3))
     assert svd_shapes == [(d, d - 1)]
     assert j.rank == d * d - 1
+
+
+def test_state_below_the_eigh_accuracy_is_not_inverted():
+    # the d=32 state at mean photon number 0.5 has smallest eigenvalue
+    # 1.1e-15, below 32 eps max|lambda| = 4.7e-15: it is a state, but the
+    # SLD solve of the disturbance cannot invert it
+    d = 32
+    s = thermal_state(d, 0.5)
+    with pytest.raises(SingularStateError):
+        disturbance(s, quadrature_q(d), number_dephasing_channel(d, 0.3))

@@ -16,6 +16,7 @@ from urlab import (
     grad_expectation,
     induced_povm,
     is_hermitian,
+    measurement_error,
     pvm_of_observable,
     sym_correlation,
     variance,
@@ -38,9 +39,26 @@ class TestQuantumState:
         with pytest.raises(InvalidOperandError):
             QuantumState(base=np.eye(2, dtype=complex))
 
-    def test_rejects_rank_deficient(self):
-        with pytest.raises(InvalidOperandError):
-            QuantumState(base=np.diag([1.0, 0.0]).astype(complex))
+    @pytest.mark.parametrize("use", ["state", "expectation", "measurement_error"])
+    def test_rejects_negative_eigenvalue(self, use):
+        # Hermitian with unit trace but not PSD: a QuantumState and a raw
+        # matrix follow the same rule, and no quantity is computed from it
+        rho = np.diag([1.2, -0.2]).astype(complex)
+        calls = {
+            "state": lambda: QuantumState(base=rho),
+            "expectation": lambda: expectation(rho, SIGMA_Z),
+            "measurement_error": lambda: measurement_error(rho, SIGMA_Z, unsharp_z_povm(0.8)),
+        }
+        with pytest.raises(InvalidOperandError, match="eigenvalue -2.000e-01"):
+            calls[use]()
+
+    def test_raw_matrix_is_validated_once_per_call(self, monkeypatch):
+        # sym_correlation makes two correlation calls on one QuantumState
+        validated = []
+        real = QuantumState.__post_init__
+        monkeypatch.setattr(QuantumState, "__post_init__", lambda st: validated.append(real(st)))
+        sym_correlation(qubit_state(rz=0.5), SIGMA_X, SIGMA_Z)
+        assert len(validated) == 1
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidOperandError):

@@ -7,7 +7,9 @@ import pytest
 
 from urlab import (
     CpInstrument,
+    KrausChannel,
     Povm,
+    QuantumState,
     average_channel,
     disturbance,
     error_disturbance_report,
@@ -17,8 +19,9 @@ from urlab import (
     measurement_error,
     pvm_of_observable,
     tangent_basis,
+    variance,
 )
-from urlab.errors import InvalidOperandError
+from urlab.errors import InvalidOperandError, SingularStateError
 from urlab.quantum import identity_channel
 from urlab.randoms import (
     random_channel,
@@ -73,6 +76,43 @@ def test_raw_matrix_state_needs_unit_trace():
         measurement_error(IDENTITY2, SIGMA_Z, unsharp_z_povm(0.8))
     with pytest.raises(InvalidOperandError, match="trace"):
         disturbance(IDENTITY2, SIGMA_Z, depolarizing_channel(0.5))
+
+
+@pytest.mark.parametrize("wrap", [np.asarray, QuantumState], ids=["matrix", "state"])
+def test_pure_state_has_an_error_but_no_disturbance(wrap):
+    # the pure state |0><0| is admitted: eps never inverts it, while eta's SLD
+    # solve does, so eta refuses it
+    s = wrap(np.diag([1.0, 0.0]).astype(complex))
+    eta = 0.8
+    res = measurement_error(s, SIGMA_Z, unsharp_z_povm(eta))
+    assert res.value == pytest.approx(1 / eta**2 - 1, abs=1e-12)
+    with pytest.raises(SingularStateError):
+        disturbance(s, SIGMA_Z, identity_channel(2))
+
+
+def embedding_with_decay_kraus(d, strength):
+    """Kraus operators d -> d+1: sqrt(1-s) V (V the embedding) and sqrt(s) |d><i| for i < d."""
+    kraus = np.zeros((d + 1, d + 1, d), dtype=complex)
+    kraus[0, :d, :d] = np.sqrt(1 - strength) * np.eye(d)
+    kraus[np.arange(1, d + 1), d, np.arange(d)] = np.sqrt(strength)
+    return kraus
+
+
+@pytest.mark.parametrize("strength", [0.1, 0.5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_disturbance_of_a_channel_into_a_larger_space(d, strength):
+    # E(X) = (1-s) V X V^H on traceless X and E(rho) = (1-s) V rho V^H + s |d><d|,
+    # so the pushed SLD operator is (1-s) J^S and eta(A) = Var(A) s / (1-s)
+    gen = rng_from_seed(30 + d)
+    s, a, b = random_state(gen, d), random_hermitian(gen, d), random_hermitian(gen, d)
+    kraus = embedding_with_decay_kraus(d, strength)
+    expect = variance(s, a) * strength / (1 - strength)
+    res = disturbance(s, a, KrausChannel(kraus=kraus))
+    assert res.value == pytest.approx(expect, rel=1e-12)
+    ins = CpInstrument(outcomes=tuple(range(d + 1)), kraus_sets=tuple(kraus[:, None]))
+    rep = error_disturbance_report(s, b, a, ins)
+    assert rep.eps_or_eta_b.value == pytest.approx(expect, rel=1e-12)
+    assert rep.domination_a and rep.domination_b and rep.holds
 
 
 def test_identity_channel_no_disturbance():
@@ -375,6 +415,28 @@ class TestErrorDisturbanceReport:
         ins = random_instrument(gen, 4, 17)
         error_disturbance_report(s, random_hermitian(gen, 4), random_hermitian(gen, 4), ins)
         assert len(calls) == 2
+
+    def test_each_state_is_validated_once_per_report(self, monkeypatch):
+        # the caller's raw rho becomes one QuantumState that the whole call
+        # tree shares; a QuantumState argument is not validated again.  E(rho)
+        # is validated once, as the state of the witness's SLD.
+        gen = rng_from_seed(26)
+        s = random_state(gen, 3)
+        a, b = random_hermitian(gen, 3), random_hermitian(gen, 3)
+        ins = random_instrument(gen, 3, 10)
+        validated = []
+        real = QuantumState.__post_init__
+
+        def recording(state):
+            validated.append(np.array(state.base))
+            real(state)
+
+        monkeypatch.setattr(QuantumState, "__post_init__", recording)
+        for arg, expect in ((s.rho, 1), (s, 0)):
+            validated.clear()
+            error_disturbance_report(arg, a, b, ins)
+            assert sum(np.array_equal(v, s.rho) for v in validated) == expect
+            assert len(validated) == expect + 1
 
     def test_infinite_product_short_circuits(self):
         # a two-outcome instrument cannot resolve all of a qutrit's
