@@ -28,7 +28,6 @@ from .operator_core import (
     SLD_FUNCTION,
     SuperOperatorKf,
     TangentBasis,
-    hs_inner,
     is_hermitian,
     kf_superoperator,
     mp_inverse,

@@ -4,12 +4,13 @@ Provides the orthonormal basis of the real Hilbert space of traceless Hermitian
 d x d matrices, the Moore-Penrose pseudoinverse with its explicit rank,
 Schur-complement positivity tests for block operators, and the superoperator
 built from an operator monotone function and a strictly positive state,
-together with its inverse.
+together with its inverse.  A monotone function is one scalar callable f
+with f(1) = 1, and its K^f coefficient is always b f(a / b).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -48,18 +49,6 @@ def require_hermitian(a: np.ndarray, what: str = "operand") -> np.ndarray:
 def eigh_tol(w: np.ndarray) -> float:
     """d eps max|lambda|, eigh's accuracy on the eigenvalues w of a d x d Hermitian matrix."""
     return w.size * np.finfo(float).eps * np.abs(w).max()
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dagger b].
-
-    Real whenever both arguments are Hermitian.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise InvalidOperandError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.sum(a.conj() * b))
 
 
 def project_traceless(a: np.ndarray) -> np.ndarray:
@@ -239,68 +228,43 @@ def schur_positivity_report(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Schu
 
 @dataclass(frozen=True)
 class MonotoneFunction:
-    """A scalar operator monotone function f with its two-point kernel.
+    """A scalar operator monotone function f with f(1) = 1, held only as evaluate.
 
-    kernel_coefficient(a, b) = b * f(a / b) is the coefficient that multiplies
-    the (i, j) entry of a matrix in the eigenbasis of a state with eigenvalues
-    (a, b) = (lambda_i, lambda_j).  A custom kernel may be supplied when the
-    generic form is numerically delicate (e.g. the Bogoliubov function at
-    a == b); consistency with evaluate is checked on construction.
-
-    Monotonicity is verified only for the scalar function on a grid; matrix
-    monotonicity of custom functions is assumed, not certified.
+    kernel_coefficient(a, b) = b * f(a / b), for every f, multiplies the (i, j)
+    entry of a matrix in the eigenbasis of a state with eigenvalues (a, b) =
+    (lambda_i, lambda_j) (Petz, Linear Algebra Appl. 244, 81 (1996)).  f(1) = 1
+    is checked, and monotonicity only for the scalar function on a grid;
+    matrix monotonicity is assumed, not certified.
     """
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    kernel_coefficient: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.kernel_coefficient is None:
-            f = self.evaluate
-            object.__setattr__(
-                self, "kernel_coefficient", lambda a, b: b * f(a / b)
-            )
+        one = float(np.asarray(self.evaluate(np.ones(1)), dtype=float)[0])
+        if abs(one - 1.0) > 1e-12:
+            raise InvalidOperandError(f"function {self.name!r} has f(1) = {one!r}, not 1")
         grid = np.linspace(1e-3, 1e3, 1000)
         vals = np.asarray(self.evaluate(grid), dtype=float)
         if np.any(np.diff(vals) < -1e-12 * max(1.0, np.abs(vals).max())):
             raise InvalidOperandError(f"function {self.name!r} is not nondecreasing")
-        a = np.array([0.3, 1.7, 2.0, 5.0])
-        b = np.array([1.1, 0.4, 3.0, 5.0])
-        expect = b * np.asarray(self.evaluate(a / b), dtype=float)
-        got = np.asarray(self.kernel_coefficient(a, b), dtype=float)
-        if np.abs(got - expect).max() > 1e-12 * max(1.0, np.abs(expect).max()):
-            raise InvalidOperandError(
-                f"kernel_coefficient of {self.name!r} disagrees with evaluate"
-            )
+
+    def kernel_coefficient(self, a, b):
+        return b * self.evaluate(a / b)
 
 
 SLD_FUNCTION = MonotoneFunction("sld", lambda x: (x + 1) / 2)
 RLD_FUNCTION = MonotoneFunction("rld", lambda x: x)
 
 
-def _bogoliubov_kernel(a, b):
-    # logarithmic mean (a - b) / (log a - log b), written through
-    # atanh((a - b) / (a + b)) so nearly equal arguments do not cancel
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t = (a - b) / (a + b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            t == 0.0,
-            np.broadcast_to(a, np.broadcast_shapes(a.shape, b.shape)),
-            (a - b) / (2.0 * np.arctanh(np.where(t == 0.0, 0.5, t))),
-        )
-    return out
-
-
 def _bogoliubov_evaluate(x):
+    # (x - 1) / log x is accurate up to x == 1, where x - 1 is exact; only 1 takes the limit
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.isclose(x, 1.0, rtol=1e-14), 1.0, (x - 1) / np.log(x))
+        return np.where(x == 1.0, 1.0, (x - 1) / np.log(x))
 
 
-BOGOLIUBOV_FUNCTION = MonotoneFunction("bogoliubov", _bogoliubov_evaluate, _bogoliubov_kernel)
+BOGOLIUBOV_FUNCTION = MonotoneFunction("bogoliubov", _bogoliubov_evaluate)
 
 
 @dataclass(frozen=True)
@@ -320,25 +284,19 @@ class SuperOperatorKf:
     def dim(self) -> int:
         return self.state_eigenvalues.size
 
-    def _check(self, x: np.ndarray) -> np.ndarray:
+    def _conjugate(self, x: np.ndarray, op) -> np.ndarray:
+        """U op(U^H x U, c) U^H: apply takes np.multiply, apply_inverse np.divide."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim, self.dim):
-            raise InvalidOperandError(
-                f"operand shape {x.shape} incompatible with dimension {self.dim}"
-            )
-        return x
+            raise InvalidOperandError(f"operand shape {x.shape} is not {(self.dim,) * 2}")
+        u = self.state_eigenvectors
+        return u @ op(u.conj().T @ x @ u, self.coefficients) @ u.conj().T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = self._check(x)
-        u = self.state_eigenvectors
-        xt = u.conj().T @ x @ u
-        return u @ (self.coefficients * xt) @ u.conj().T
+        return self._conjugate(x, np.multiply)
 
     def apply_inverse(self, x: np.ndarray) -> np.ndarray:
-        x = self._check(x)
-        u = self.state_eigenvectors
-        xt = u.conj().T @ x @ u
-        return u @ (xt / self.coefficients) @ u.conj().T
+        return self._conjugate(x, np.divide)
 
 
 def kf_superoperator(rho: np.ndarray, f: MonotoneFunction) -> SuperOperatorKf:

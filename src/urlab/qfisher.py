@@ -23,7 +23,6 @@ from .operator_core import (
     RLD_FUNCTION,
     SLD_FUNCTION,
     TangentBasis,
-    hs_inner,
     kf_superoperator,
     tangent_basis,
 )
@@ -150,4 +149,4 @@ def monotone_metric_value(
     if v.shape != rho.shape or w.shape != rho.shape:
         raise InvalidOperandError("tangent dimension mismatch")
     k = kf_superoperator(rho, f)
-    return hs_inner(v, k.apply_inverse(w))
+    return complex(np.vdot(v, k.apply_inverse(w)))

@@ -309,12 +309,12 @@ def _scenario_oscillator(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
     return rows, list(cutoffs)
 
 
-# each scenario with the parameter names it reads
+# each scenario with the parameter names it reads and whether it reads cutoffs
 _SCENARIOS = {
-    "qubit-unsharp": (_scenario_qubit_unsharp, ("eta", "r", "trials")),
-    "qubit-instrument": (_scenario_qubit_instrument, ("p", "eta")),
-    "qutrit-random": (_scenario_qutrit_random, ("trials",)),
-    "oscillator": (_scenario_oscillator, ("mean_photon", "dephasing")),
+    "qubit-unsharp": (_scenario_qubit_unsharp, ("eta", "r", "trials"), False),
+    "qubit-instrument": (_scenario_qubit_instrument, ("p", "eta"), False),
+    "qutrit-random": (_scenario_qutrit_random, ("trials",), False),
+    "oscillator": (_scenario_oscillator, ("mean_photon", "dephasing"), True),
 }
 
 
@@ -327,11 +327,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         raise UrlabError(
             f"unknown scenario {cfg.name!r}; available: {', '.join(scenario_names())}"
         )
-    run, accepted = _SCENARIOS[cfg.name]
+    run, accepted, takes_cutoffs = _SCENARIOS[cfg.name]
     unknown = sorted(set(cfg.params) - set(accepted))
     if unknown:
         raise UrlabError(f"unknown parameter(s) {', '.join(unknown)} for scenario "
                          f"{cfg.name!r}; accepted: {', '.join(accepted)}")
+    if cfg.cutoffs and not takes_cutoffs:
+        raise UrlabError(f"scenario {cfg.name!r} reads no cutoffs")
     started = time.time()
     rows, dims = run(cfg)
     return RunReport(

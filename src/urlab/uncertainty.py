@@ -17,8 +17,8 @@ import numpy as np
 
 from .classical import FisherOperator, fisher_operator, model_from_povm
 from .errors import InvalidOperandError
-from .operator_core import SLD_FUNCTION, TangentBasis, dagger, tangent_basis
-from .qfisher import quantum_fisher, sld_optimal_pvm
+from .operator_core import SLD_FUNCTION, TangentBasis, dagger, kf_superoperator, tangent_basis
+from .qfisher import quantum_fisher
 from .quantum import (
     CpInstrument,
     KrausChannel,
@@ -28,6 +28,7 @@ from .quantum import (
     average_channel,
     grad_expectation,
     induced_povm,
+    pvm_of_observable,
     sym_correlation,
     variance,
 )
@@ -244,7 +245,8 @@ def error_disturbance_report(
     (J^S_E)^+ grad<B>), so eps(B; M) <= eta(B; I) by construction; the first
     marginal is the induced POVM, so eps(A; M) <= eps(A; I).  R_M is
     evaluated in the same M.  X is the least-norm solution, so M is defined
-    even when eta(B) is infinite.
+    even when eta(B) is infinite.  L is solved on the matrix E(rho), as in
+    quantum_fisher, not on a new state, so every CpInstrument has a witness.
     """
     s = _as_state(s)
     if basis is None:
@@ -255,7 +257,8 @@ def error_disturbance_report(
     eps_a = _error_from_operator(j_a, ga, var_a)
     eta_b, j_s, gb = _disturbance_and_fisher(s, b, avg, basis)
     sigma, ex = avg(np.stack([s.rho, basis.matrix(j_s.pinv @ gb)]))
-    joint = joint_povm(ins, sld_optimal_pvm(sigma, ex))
+    l = kf_superoperator(sigma, SLD_FUNCTION).apply_inverse(ex)
+    joint = joint_povm(ins, pvm_of_observable((l + dagger(l)) / 2))
     j_joint = fisher_operator(model_from_povm(s, joint, basis))
     eps_a_joint = _error_from_operator(j_joint, ga, var_a)
     eps_b_joint = _error_from_operator(j_joint, gb, eta_b.variance)

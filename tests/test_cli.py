@@ -217,9 +217,10 @@ class TestScenarioCommand:
         "content",
         [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}},
          {"dim": "3"}, {"seed": 1.5}, {"cutoffs": ["a"]}, {"cutoffs": 8},
-         {"params": {"etaa": 0.9}}],
+         {"params": {"etaa": 0.9}}, {"cutoffs": [4, 8]}],
         ids=["unknown-key", "not-an-object", "non-numeric-param", "string-dim",
-             "float-seed", "non-integer-cutoff", "scalar-cutoffs", "unknown-param"],
+             "float-seed", "non-integer-cutoff", "scalar-cutoffs", "unknown-param",
+             "unread-cutoffs"],
     )
     def test_bad_config_is_click_error(self, runner, tmp_path, content):
         cfg = tmp_path / "cfg.json"

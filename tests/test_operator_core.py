@@ -12,7 +12,6 @@ from urlab import (
     MonotoneFunction,
     TangentBasis,
     error_disturbance_report,
-    hs_inner,
     is_hermitian,
     kf_superoperator,
     measurement_error,
@@ -37,6 +36,7 @@ from urlab.randoms import (
     random_state,
     rng_from_seed,
 )
+from urlab.oscillator import thermal_state
 from urlab.scenarios import ScenarioConfig, run_scenario
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, qubit_state
@@ -51,7 +51,7 @@ def test_tangent_basis_orthonormal_traceless(dim):
         assert is_hermitian(basis.elements[a])
         for b in range(basis.size):
             expected = 1.0 if a == b else 0.0
-            assert hs_inner(basis.elements[a], basis.elements[b]) == pytest.approx(
+            assert np.vdot(basis.elements[a], basis.elements[b]) == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -172,11 +172,6 @@ def test_project_traceless(rng):
         np.testing.assert_allclose(a - p, np.trace(a) / d * np.eye(d), atol=1e-12)
 
 
-def test_hs_inner_shape_mismatch():
-    with pytest.raises(InvalidOperandError):
-        hs_inner(np.eye(2), np.eye(3))
-
-
 def _random_fixed_rank(rng, n, rank):
     u = rng.normal(size=(n, rank))
     return u @ u.T
@@ -248,9 +243,37 @@ def test_non_monotone_function_rejected():
         MonotoneFunction("decreasing", lambda x: 2.0 - x)
 
 
-def test_inconsistent_kernel_rejected():
-    with pytest.raises(UrlabError):
-        MonotoneFunction("mismatch", lambda x: (x + 1) / 2, lambda a, b: a)
+def test_unnormalized_function_rejected():
+    # f(1) = 1/2 would halve every metric
+    with pytest.raises(InvalidOperandError, match=r"f\(1\) = 0.5"):
+        MonotoneFunction("half", lambda x: (x + 1) / 4)
+
+
+def test_bogoliubov_kernel_is_accurate_at_large_ratios():
+    # pairs in [1e-16, 1] with ratio 2 to 1e16 in both orders, and the d = 40,
+    # nbar 1 thermal spectrum; the reference (a - b) / (log a - log b) is taken
+    # in extended precision, since in float log a - log b loses up to 8e-15
+    # at ratio 2 near 1e-16
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double here")
+    gen = np.random.default_rng(3)
+    b = 10 ** gen.uniform(-16, 0, 2000)
+    a = b * 10 ** gen.uniform(np.log10(2), 16, 2000)
+    a, b = a[a <= 1], b[a <= 1]
+    lam = np.diag(thermal_state(40, 1.0).rho).real
+    i, j = np.nonzero(~np.eye(40, dtype=bool))
+    a, b = np.concatenate([a, b, lam[i]]), np.concatenate([b, a, lam[j]])
+    al, bl = a.astype(np.longdouble), b.astype(np.longdouble)
+    ref = (al - bl) / (np.log(al) - np.log(bl))
+    got = BOGOLIUBOV_FUNCTION.kernel_coefficient(a, b)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-15
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-10, 1e-9])
+def test_bogoliubov_function_near_one(delta):
+    # only x == 1 takes the limit: (x - 1) / log x is accurate right up to it
+    want = delta / np.log1p(delta)
+    assert abs(BOGOLIUBOV_FUNCTION.evaluate(1 + delta) - want) <= 1e-15 * want
 
 
 def test_kf_sld_matches_anticommutator(rng):

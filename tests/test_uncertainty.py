@@ -418,8 +418,8 @@ class TestErrorDisturbanceReport:
 
     def test_each_state_is_validated_once_per_report(self, monkeypatch):
         # the caller's raw rho becomes one QuantumState that the whole call
-        # tree shares; a QuantumState argument is not validated again.  E(rho)
-        # is validated once, as the state of the witness's SLD.
+        # tree shares; a QuantumState argument is not validated again, and
+        # E(rho) is not admitted as a state at all
         gen = rng_from_seed(26)
         s = random_state(gen, 3)
         a, b = random_hermitian(gen, 3), random_hermitian(gen, 3)
@@ -436,7 +436,23 @@ class TestErrorDisturbanceReport:
             validated.clear()
             error_disturbance_report(arg, a, b, ins)
             assert sum(np.array_equal(v, s.rho) for v in validated) == expect
-            assert len(validated) == expect + 1
+            assert len(validated) == expect
+
+    def test_witness_accepts_every_instrument_cp_instrument_accepts(self):
+        # trace preservation is checked to 1e-10, so E(rho) may have trace
+        # 1 + 4e-11, beyond a state's 1e-12 d; the witness must not refuse it
+        gen = rng_from_seed(5)
+        s = random_state(gen, 3)
+        a, b = random_hermitian(gen, 3), random_hermitian(gen, 3)
+        ins = random_instrument(gen, 3, 10)
+        scaled = CpInstrument(
+            outcomes=ins.outcomes,
+            kraus_sets=tuple(np.sqrt(1 + 4e-11) * ks for ks in ins.kraus_sets),
+        )
+        assert abs(np.trace(average_channel(scaled)(s.rho)).real - 1) > 3e-12
+        rep = error_disturbance_report(s, a, b, scaled)
+        assert rep.domination_a and rep.domination_b
+        assert rep.eps_or_eta_b.value == disturbance(s, b, average_channel(scaled)).value
 
     def test_infinite_product_short_circuits(self):
         # a two-outcome instrument cannot resolve all of a qutrit's
