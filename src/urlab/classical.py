@@ -5,11 +5,11 @@ each orthonormal tangent direction.  From it: the Fisher information operator,
 Markov-kernel pushforwards, monotonicity checks, locally unbiased estimators,
 and Monte Carlo variance estimates.  FisherOperator holds a Fisher matrix
 through a Gram factor B with J = B^H B; the quantum Fisher informations of
-qfisher use the same type, so error and disturbance share one quadratic form.
-B's 1x1 blocks (entries alone in their row and column) are read off
-directly and the rest of B takes one thin SVD, of the R of its QR when it has
-at least twice as many rows as columns; the rank is cut on B's singular values
-at max(B.shape) * eps * s_max, on B's shape and not R's, as for one dense SVD.
+qfisher use the same type, so error and disturbance share one quadratic form
+and one J^+ solve.  Each builder deflates the factor's left-null vector known
+in closed form (sqrt(p) here, by the zero-mean score identity), so the rank
+cut never meets its rounding residue.  B's 1x1 blocks are read off directly
+and the rest of B takes one thin SVD, of the R of its QR when it is tall.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ class StatisticalModel:
             raise InvalidOperandError("scores need at least one tangent direction")
         if len(self.outcomes) != probs.size:
             raise InvalidOperandError("outcomes length mismatch")
+        if not (probs >= 0).all() or not np.isfinite(scores).all():
+            raise InvalidOperandError("probabilities must be nonnegative and scores finite")
         if abs(probs.sum() - 1.0) > 1e-10:
             raise InvalidOperandError(f"probabilities sum to {probs.sum()}")
         mean = probs @ scores
@@ -66,6 +68,12 @@ class StatisticalModel:
     @property
     def n_outcomes(self) -> int:
         return self.probs.size
+
+
+def _deflate(b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows 1: of H b, H = I - w w^T / (1 + v[0]), w = v + e_1, the reflection of a
+    unit v (v[0] >= 0) to -e_1: for v^T b = 0 the dropped row 0 is rounding."""
+    return b[1:] - v[1:, None] * ((v @ b + b[0]) / (1 + v[0]))
 
 
 def _thin_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,10 +120,10 @@ class FisherOperator:
     condition number) at or below max(B.shape) * eps * s_max are cut, with
     B's shape even where a tall block (rows >= 2 cols) is first reduced to
     the square R of its QR, whose SVD has the same S and V.  U is not kept.  The
-    kept right singular vectors V_r span range(J), so (a, J^+ b) is the dot
-    product of S^{-1} V_r^H a and S^{-1} V_r^H b, and a leaves the range by
-    its residual a - V_r V_r^H a.
-    The matrix J and its pseudoinverse are derived only on request.
+    kept right singular vectors V_r span range(J): with z = S^{-1} V_r^H a,
+    solve(a) = J^+ a = V_r S^{-1} z, (a, J^+ b) is the dot product of the z of
+    a and of b, and a leaves the range by its residual a - V_r V_r^H a.  J and
+    its pseudoinverse (a test reference) are derived only on request.
     """
 
     def __init__(self, factor: np.ndarray):
@@ -136,6 +144,10 @@ class FisherOperator:
 
     def _whiten(self, a: np.ndarray) -> np.ndarray:
         return (self._vh @ np.asarray(a)) / self._sv
+
+    def solve(self, a: np.ndarray) -> np.ndarray:
+        """J^+ a, the least-norm x with J x the projection of a onto range(J)."""
+        return self._vh.conj().T @ (self._whiten(a) / self._sv)
 
     def quad(self, a: np.ndarray, b: np.ndarray | None = None) -> float:
         """(a, J^+ b) with the Euclidean pairing on coordinates."""
@@ -163,8 +175,8 @@ class StochasticKernel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise InvalidOperandError("kernel must be a matrix")
-        if m.min() < 0:
-            raise InvalidOperandError("kernel entries must be nonnegative")
+        if not (m >= 0).all():
+            raise InvalidOperandError("kernel entries must be nonnegative numbers")
         if np.abs(m.sum(axis=0) - 1.0).max() > 1e-12:
             raise InvalidOperandError("kernel columns must sum to 1")
         object.__setattr__(self, "matrix", m)
@@ -211,8 +223,10 @@ def model_from_povm(
 
 
 def fisher_operator(mod: StatisticalModel) -> FisherOperator:
-    """J_ab = sum_x p(x) l(x; e_a) l(x; e_b), with factor rows sqrt(p(x)) l(x; .)."""
-    return FisherOperator(np.sqrt(mod.probs)[:, None] * mod.scores)
+    """J_ab = sum_x p(x) l(x; e_a) l(x; e_b): factor rows sqrt(p(x)) l(x; .), less
+    their left-null vector sqrt(p)."""
+    v = np.sqrt(mod.probs)
+    return FisherOperator(_deflate(v[:, None] * mod.scores, v))
 
 
 def markov_pushforward(mod: StatisticalModel, k: StochasticKernel) -> StatisticalModel:
@@ -265,14 +279,14 @@ def locally_unbiased_estimator(
     Raises when a has a kernel component: no unbiased estimator exists.
     """
     a = np.asarray(a, dtype=float)
+    if a.shape != mod.scores.shape[1:]:
+        raise InvalidOperandError(f"direction has shape {a.shape}, not {mod.scores.shape[1:]}")
     j = fisher_operator(mod)
     if not j.in_range(a):
         raise NoUnbiasedEstimatorError(
             f"direction has kernel component {j.kernel_violation(a):.3e}"
         )
-    weights = j.pinv @ a
-    values = target_value + mod.scores @ weights
-    return Estimator(values=values, variance=j.quad(a))
+    return Estimator(values=target_value + mod.scores @ j.solve(a), variance=j.quad(a))
 
 
 @dataclass(frozen=True)
@@ -292,7 +306,11 @@ def monte_carlo_variance(
     """
     if n < 1000:
         raise InvalidOperandError("need at least 1000 samples")
+    if seed < 0:
+        raise InvalidOperandError("seed must be nonnegative")
     values = np.asarray(values, dtype=float)
+    if values.shape != mod.probs.shape:
+        raise InvalidOperandError(f"values have shape {values.shape}, not {mod.probs.shape}")
     rng = np.random.Generator(np.random.Philox(seed))
     idx = rng.choice(mod.n_outcomes, size=n, p=mod.probs)
     draws = values[idx]

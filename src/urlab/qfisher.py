@@ -4,10 +4,11 @@ All superoperator solves go through the eigenbasis coefficient formula
 c_f(l_i, l_j) = l_j f(l_i / l_j), which is exact for strictly positive states.
 quantum_fisher returns the classical FisherOperator type, built from the Gram
 factor whose columns are the directions scaled by (K^f)^{-1/2} in the state
-eigenbasis.  The SLD factor is real (the d^2 real coordinates of Hermitian
-matrices), so its Fisher matrix is real symmetric on tangent coordinates; RLD
-and other complex-valued forms use the complex factor, and their Fisher
-matrices are Hermitian on the complexified coordinates.
+eigenbasis, less a known null vector.  The SLD factor is real (the d^2 real
+coordinates of Hermitian matrices), so its Fisher matrix is real symmetric on
+tangent coordinates; RLD and other complex-valued forms use the complex
+factor, and their Fisher matrices are Hermitian on the complexified
+coordinates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import FisherOperator, fisher_operator, model_from_povm
+from .classical import FisherOperator, _deflate, fisher_operator, model_from_povm
 from .errors import InvalidOperandError
 from .operator_core import (
     MonotoneFunction,
@@ -66,7 +67,9 @@ def quantum_fisher(
     With K' = u^H K (K' = u^H without a channel), the Choi-form tensor
     t[i,j,m,k] = sum_l K'_l[i,j] conj(K'_l[m,k]) is one matmul, and
     (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] is basis.inner of t with
-    axes ordered (i, m, k, j), because e_a is Hermitian.
+    axes ordered (i, m, k, j), because e_a is Hermitian.  The d' rows h_a[i,i],
+    less their left-null vector sqrt(l) of sigma, come first, then sqrt(2) h_a[j,k]
+    (j < k) as real and imaginary parts (SLD) or h_a[j,k] and h_a[k,j].
     """
     rho = _as_state(s).rho
     d = rho.shape[0]
@@ -80,11 +83,14 @@ def quantum_fisher(
     flat = kp.reshape(kp.shape[0], dp * d)
     t = (flat.T @ flat.conj()).reshape(dp, d, dp, d)
     h = basis.inner(t.transpose(0, 2, 3, 1)) / np.sqrt(k.coefficients)[..., None]  # h[i, m, a]
+    # c_f(l, l) = l f(1) = l, so sum_i sqrt(l_i) h_a[i, i] = Tr E(e_a) = 0
+    diag = _deflate(h[range(dp), range(dp)], np.sqrt(k.state_eigenvalues))
+    r, c = np.triu_indices(dp, 1)
     if f.name == SLD_FUNCTION.name:
         # h_a is Hermitian: its d'^2 real coordinates carry the real form Tr[h_a h_b]
-        off = np.sqrt(2) * h[np.triu_indices(dp, 1)]
-        return FisherOperator(np.concatenate([h[range(dp), range(dp)].real, off.real, off.imag]))
-    return FisherOperator(h.reshape(dp * dp, -1))
+        off = np.sqrt(2) * h[r, c]
+        return FisherOperator(np.concatenate([diag.real, off.real, off.imag]))
+    return FisherOperator(np.concatenate([diag, h[r, c], h[c, r]]))
 
 
 @dataclass(frozen=True)

@@ -143,10 +143,6 @@ class KrausChannel:
         return kraus_sum(dagger(self.kraus), y)
 
 
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel(kraus=(np.eye(dim),))
-
-
 @dataclass(frozen=True)
 class CpInstrument:
     """Outcome-indexed Kraus sets whose total map, kept as channel, is trace preserving.

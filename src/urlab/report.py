@@ -136,8 +136,3 @@ def emit(report: RunReport, fmt: str, path: str) -> None:
             raise UrlabError(f"cannot write {path}: {exc}") from exc
     else:
         raise UrlabError(f"unknown format {fmt!r}")
-
-
-def parse_report(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

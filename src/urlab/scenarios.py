@@ -440,7 +440,7 @@ def _quantum_trial(rng, dim_max: int, t: int) -> dict:
         "quantum_cramer_rao": cr.holds,
         "sld_optimal_pvm_max_err": abs(c @ jm @ c - c @ js.matrix @ c),
         "correlation_sld_max_err": abs(sym_correlation(s, a, b) - js.quad(gb, ga)),
-        "correlation_rld_max_err": abs(correlation(s, a, b) - complex(gb @ jr.pinv @ ga)),
+        "correlation_rld_max_err": abs(correlation(s, a, b) - complex(gb @ jr.solve(ga))),
         "scalar_identity_max_err": max(abs(js.quad(c) - target), abs(jr.quad(c) - target)),
         "f_monotonicity_min_gap": _loewner_gap(jf.matrix, jf_pushed.matrix),
     }
@@ -483,7 +483,7 @@ def _uncertainty_trial(rng, dim_max: int, t: int) -> dict:
     cchi = basis.coords(basis.matrix(rng.normal(size=basis.size)))
     # the minimizing member of the SLD-optimal family is the PVM of
     # L^S((J^S)^+ chi), whose expectation gradient is exactly chi
-    mopt = sld_optimal_pvm(s, basis.matrix(js.pinv @ cchi))
+    mopt = sld_optimal_pvm(s, basis.matrix(js.solve(cchi)))
     jopt = fisher_operator(model_from_povm(s, mopt, basis))
     out["min_attainment_max_err"] = max(
         abs(jopt.quad(cchi) - js.quad(cchi)), abs(js.quad(cchi) - jr.quad(cchi))

@@ -256,7 +256,7 @@ def error_disturbance_report(
     j_a = fisher_operator(model_from_povm(s, induced_povm(ins), basis))
     eps_a = _error_from_operator(j_a, ga, var_a)
     eta_b, j_s, gb = _disturbance_and_fisher(s, b, avg, basis)
-    sigma, ex = avg(np.stack([s.rho, basis.matrix(j_s.pinv @ gb)]))
+    sigma, ex = avg(np.stack([s.rho, basis.matrix(j_s.solve(gb))]))
     l = kf_superoperator(sigma, SLD_FUNCTION).apply_inverse(ex)
     joint = joint_povm(ins, pvm_of_observable((l + dagger(l)) / 2))
     j_joint = fisher_operator(model_from_povm(s, joint, basis))

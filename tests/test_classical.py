@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urlab import (
@@ -17,14 +17,14 @@ from urlab import (
     monte_carlo_variance,
     tangent_basis,
 )
-from urlab.classical import P_FLOOR
+from urlab.classical import P_FLOOR, _deflate
 from urlab.errors import (
     InvalidOperandError,
     NoUnbiasedEstimatorError,
     SingularModelError,
 )
 from urlab.randoms import random_kernel, random_model, rng_from_seed
-from urlab.scenarios import unsharp_z_povm
+from urlab.scenarios import run_verify, unsharp_z_povm
 
 from conftest import IDENTITY2, SIGMA_X, SIGMA_Z, qubit_state
 
@@ -52,6 +52,18 @@ def test_model_validation():
     with pytest.raises(InvalidOperandError):
         StatisticalModel(outcomes=(0, 1), probs=np.array([0.5, 0.5]),
                          scores=np.array([[1.0], [1.0]]))  # not zero mean
+
+
+@pytest.mark.parametrize(
+    "probs, scores",
+    [([1.2, -0.1, -0.1], np.zeros((3, 1))),
+     ([np.nan, 1.0], np.zeros((2, 1))),
+     ([0.5, 0.5], np.array([[np.inf], [-np.inf]]))],
+    ids=["negative-probability", "nan-probability", "infinite-score"],
+)
+def test_model_rejects_negative_or_non_finite_inputs(probs, scores):
+    with pytest.raises(InvalidOperandError, match="nonnegative and scores finite"):
+        StatisticalModel(outcomes=range(len(probs)), probs=probs, scores=scores)
 
 
 def test_model_needs_a_tangent_direction():
@@ -121,6 +133,30 @@ def assert_matches_dense_reference(rng, b, rank, complex_):
         assert j.in_range(x) == (ref <= 1e-8 * np.linalg.norm(x))
     pinv = (vh.conj().T / sv**2) @ vh
     np.testing.assert_allclose(j.pinv, pinv, rtol=0, atol=1e-12 * np.abs(pinv).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 5),
+    complex_=st.booleans(),
+)
+@example(seed=0, rows=1, cols=3, complex_=False)
+@example(seed=0, rows=1, cols=3, complex_=True)
+def test_deflate_drops_one_row_and_keeps_the_gram_matrix(seed, rows, cols, complex_):
+    # v is a unit vector like sqrt(p), zero entries included, and b is
+    # projected off it so that v^T b = 0 up to rounding; one row leaves none
+    rng = np.random.default_rng(seed)
+    v = np.sqrt(rng.uniform(size=rows) ** 3 * (rng.uniform(size=rows) < 0.8))
+    v[rng.integers(rows)] += 0.5
+    v /= np.linalg.norm(v)
+    b = gaussian(rng, (rows, cols), complex_)
+    b -= v[:, None] * (v @ b)
+    out = _deflate(b, v)
+    assert out.shape == (rows - 1, cols)
+    gram = b.conj().T @ b
+    assert np.linalg.norm(out.conj().T @ out - gram) <= 1e-14 * np.linalg.norm(gram)
 
 
 @pytest.mark.parametrize("shape", [(4, 5), (3, 0), (0, 3)], ids=["zero", "no-columns", "no-rows"])
@@ -244,6 +280,25 @@ def test_kernel_validation():
         StochasticKernel(matrix=np.array([[1.2, 0.0], [-0.2, 1.0]]))
 
 
+def test_kernel_rejects_nan_entries():
+    with pytest.raises(InvalidOperandError, match="nonnegative numbers"):
+        StochasticKernel(matrix=np.array([[np.nan, 0.0], [np.nan, 1.0]]))
+
+
+def test_one_outcome_pushforward_has_rank_zero():
+    # pushing every outcome to one leaves p' = 1 and a score that is exactly 0:
+    # J' = 0, so the deflated factor has no rows
+    mod = random_model(rng_from_seed(5), 4, 3)
+    pushed = markov_pushforward(mod, StochasticKernel(np.ones((1, 4))))
+    assert fisher_operator(pushed).rank == 0
+
+
+def test_classical_cramer_rao_row_at_rounding_level():
+    # the estimator solves through the same deflated factor as (a, J^+ a), so
+    # their gap stays within the row's absolute 1e-9
+    assert run_verify("classical", trials=10, seed=3890103158).all_pass
+
+
 def test_pushforward_shape_mismatch():
     mod = bernoulli_model(0.5)
     with pytest.raises(InvalidOperandError):
@@ -284,6 +339,11 @@ def test_locally_unbiased_estimator_moments():
     np.testing.assert_allclose(grad, a, atol=1e-9)
 
 
+def test_estimator_direction_needs_one_entry_per_parameter():
+    with pytest.raises(InvalidOperandError, match=r"not \(1,\)"):
+        locally_unbiased_estimator(bernoulli_model(0.5), np.ones(2), target_value=0.0)
+
+
 def test_no_unbiased_estimator_for_kernel_direction():
     basis = tangent_basis(2)
     mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(0.8), basis)
@@ -304,3 +364,13 @@ def test_monte_carlo_needs_enough_samples():
     mod = bernoulli_model(0.5)
     with pytest.raises(InvalidOperandError):
         monte_carlo_variance(mod, np.array([0.0, 1.0]), n=10, seed=0)
+
+
+def test_monte_carlo_needs_one_value_per_outcome():
+    with pytest.raises(InvalidOperandError, match=r"not \(2,\)"):
+        monte_carlo_variance(bernoulli_model(0.5), np.zeros(3), n=1000, seed=0)
+
+
+def test_monte_carlo_rejects_a_negative_seed():
+    with pytest.raises(InvalidOperandError, match="seed"):
+        monte_carlo_variance(bernoulli_model(0.5), np.zeros(2), n=1000, seed=-1)

@@ -23,7 +23,6 @@ from urlab.report import (
     flag_row,
     ge_row,
     le_row,
-    parse_report,
 )
 
 
@@ -86,7 +85,7 @@ class TestEmit:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "out.json"
         emit(self._report(), "json", str(path))
-        data = parse_report(str(path))
+        data = json.loads(path.read_text())
         assert data["scenario"] == "demo"
         assert data["rows"][0]["value"] == "1.5"
         assert data["rows"][1]["value"] == "inf"
@@ -201,7 +200,7 @@ class TestScenarioCommand:
                  "--out", str(out), "--format", "json"],
             )
             assert res.exit_code == 0, res.output
-        d1, d2 = parse_report(str(out1)), parse_report(str(out2))
+        d1, d2 = json.loads(out1.read_text()), json.loads(out2.read_text())
         assert d1["rows"] == d2["rows"]
 
     def test_config_file(self, runner, tmp_path):

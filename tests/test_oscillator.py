@@ -144,12 +144,13 @@ def test_dephasing_disturbance_oracle_at_large_cutoffs(nbar, d):
 
 def test_pushed_sld_factor_takes_one_svd_of_its_diagonal_block(svd_shapes):
     # in the Fock basis every off-diagonal coordinate is its own 1x1 block, which
-    # takes no SVD; the d diagonal entries against the d-1 diagonal Gell-Mann
-    # directions form the one block left
+    # takes no SVD; the d diagonal entries, less the deflated null vector
+    # sqrt(lambda), against the d-1 diagonal Gell-Mann directions form the one
+    # block left
     d = 32
     j = quantum_fisher(thermal_state(d, 2.0), SLD_FUNCTION,
                        pushforward=number_dephasing_channel(d, 0.3))
-    assert svd_shapes == [(d, d - 1)]
+    assert svd_shapes == [(d - 1, d - 1)]
     assert j.rank == d * d - 1
 
 

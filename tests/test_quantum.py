@@ -22,7 +22,7 @@ from urlab import (
     variance,
 )
 from urlab.errors import InvalidOperandError
-from urlab.quantum import identity_channel, kraus_sum
+from urlab.quantum import kraus_sum
 from urlab.randoms import random_complex, rng_from_seed
 from urlab.scenarios import luders_z_instrument, unsharp_z_povm
 
@@ -200,7 +200,7 @@ class TestKrausChannel:
             _assert_close_relative(y, sum(k @ x @ k.conj().T for k in kraus))
 
     def test_identity_channel(self, rng):
-        ch = identity_channel(3)
+        ch = KrausChannel(kraus=(np.eye(3),))
         x = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
         np.testing.assert_array_equal(ch(x), x)
         np.testing.assert_array_equal(ch(x[0]), x[0])

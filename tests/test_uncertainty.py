@@ -14,20 +14,22 @@ from urlab import (
     disturbance,
     error_disturbance_report,
     error_error_report,
+    fisher_operator,
     induced_povm,
     joint_povm,
     measurement_error,
+    model_from_povm,
     pvm_of_observable,
     tangent_basis,
     variance,
 )
 from urlab.errors import InvalidOperandError, SingularStateError
-from urlab.quantum import identity_channel
 from urlab.randoms import (
     random_channel,
     random_complex,
     random_hermitian,
     random_instrument,
+    random_povm,
     random_state,
     rng_from_seed,
 )
@@ -55,6 +57,21 @@ def test_orthogonal_direction_is_infinite():
     assert res.is_infinite
     assert math.isinf(res.value)
     assert res.kernel_violation > 0.1
+
+
+@pytest.mark.parametrize("draw, violation", [(4, 0.88), (13, 0.44)])
+def test_three_outcome_qubit_povm_has_infinite_error(draw, violation):
+    # three effects that sum to I span only two traceless directions, so the
+    # Fisher operator has rank 2 and a generic A has infinite error; rounding
+    # leaves a third singular value above the rank cut unless sqrt(p) is
+    # deflated, and eps then comes out finite, of order 1e29
+    gen = rng_from_seed(123)
+    for _ in range(draw + 1):
+        s, a, m = random_state(gen, 2), random_hermitian(gen, 2), random_povm(gen, 2, 3)
+    assert fisher_operator(model_from_povm(s, m)).rank == 2
+    res = measurement_error(s, a, m)
+    assert res.is_infinite
+    assert res.kernel_violation == pytest.approx(violation, abs=0.005)
 
 
 def test_own_pvm_has_zero_error():
@@ -87,7 +104,7 @@ def test_pure_state_has_an_error_but_no_disturbance(wrap):
     res = measurement_error(s, SIGMA_Z, unsharp_z_povm(eta))
     assert res.value == pytest.approx(1 / eta**2 - 1, abs=1e-12)
     with pytest.raises(SingularStateError):
-        disturbance(s, SIGMA_Z, identity_channel(2))
+        disturbance(s, SIGMA_Z, KrausChannel(kraus=(np.eye(2),)))
 
 
 def embedding_with_decay_kraus(d, strength):
@@ -116,7 +133,7 @@ def test_disturbance_of_a_channel_into_a_larger_space(d, strength):
 
 
 def test_identity_channel_no_disturbance():
-    res = disturbance(qubit_state(rx=0.4), SIGMA_Y, identity_channel(2))
+    res = disturbance(qubit_state(rx=0.4), SIGMA_Y, KrausChannel(kraus=(np.eye(2),)))
     assert abs(res.value) <= 1e-10
 
 
