@@ -24,7 +24,7 @@ from .errors import (
     NoUnbiasedEstimatorError,
     SingularModelError,
 )
-from .operator_core import TangentBasis, tangent_basis
+from .operator_core import tangent_basis
 from .quantum import Povm, QuantumState, _as_state
 
 # Outcomes with probability at or below this floor are dropped, provided their
@@ -173,8 +173,8 @@ class StochasticKernel:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise InvalidOperandError("kernel must be a matrix")
+        if m.ndim != 2 or not m.size:
+            raise InvalidOperandError("kernel must be a nonempty matrix")
         if not (m >= 0).all():
             raise InvalidOperandError("kernel entries must be nonnegative numbers")
         if np.abs(m.sum(axis=0) - 1.0).max() > 1e-12:
@@ -202,12 +202,11 @@ def _model_on_support(outcomes, probs, numer, effects=None) -> StatisticalModel:
     )
 
 
-def model_from_povm(
-    s: QuantumState | np.ndarray, m: Povm, basis: TangentBasis | None = None
-) -> StatisticalModel:
+def model_from_povm(s: QuantumState | np.ndarray, m: Povm) -> StatisticalModel:
     """The classical model of measuring a POVM on the affine state family.
 
-    p(x) = Tr[rho effect(x)] and l(x; e_a) = Tr[e_a effect(x)] / p(x).
+    p(x) = Tr[rho effect(x)] and l(x; e_a) = Tr[e_a effect(x)] / p(x), with e_a
+    the elements of tangent_basis(d), which the dimension d alone fixes.
     Outcomes with negligible probability are dropped only when their effect is
     itself negligible; otherwise the model is singular (the state is not
     strictly positive or the POVM is inconsistent).
@@ -216,17 +215,15 @@ def model_from_povm(
     d = rho.shape[0]
     if m.dim != d:
         raise InvalidOperandError("state and POVM dimension mismatch")
-    if basis is None:
-        basis = tangent_basis(d)
     probs = np.einsum("ij,xji->x", rho, m.effects).real
-    return _model_on_support(m.outcomes, probs, basis.coords(m.effects), m.effects)
+    return _model_on_support(m.outcomes, probs, tangent_basis(d).coords(m.effects), m.effects)
 
 
 def fisher_operator(mod: StatisticalModel) -> FisherOperator:
     """J_ab = sum_x p(x) l(x; e_a) l(x; e_b): factor rows sqrt(p(x)) l(x; .), less
-    their left-null vector sqrt(p)."""
+    their left-null vector sqrt(p), normalized because sum p is 1 only to 1e-10."""
     v = np.sqrt(mod.probs)
-    return FisherOperator(_deflate(v[:, None] * mod.scores, v))
+    return FisherOperator(_deflate(v[:, None] * mod.scores, v / np.linalg.norm(v)))
 
 
 def markov_pushforward(mod: StatisticalModel, k: StochasticKernel) -> StatisticalModel:

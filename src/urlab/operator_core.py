@@ -11,7 +11,7 @@ with f(1) = 1, and its K^f coefficient is always b f(a / b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,6 +62,19 @@ def project_traceless(a: np.ndarray) -> np.ndarray:
     return a - (np.trace(a).real / d) * np.eye(d)
 
 
+@cache
+def _index_maps(d: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The (j < k) index pair and the (d - 1) x d Gell-Mann matrix, read-only and
+    built once per dimension: every basis of a dimension shares them."""
+    # Gell-Mann row l - 1 is (1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)) with l ones
+    n, l = np.arange(d), np.arange(1.0, d)[:, None]
+    gell_mann = np.where(n < l, 1.0, np.where(n == l, -l, 0.0)) / np.sqrt(l * (l + 1))
+    pairs = np.triu_indices(d, 1)
+    for a in (*pairs, gell_mann):
+        a.flags.writeable = False
+    return pairs, gell_mann
+
+
 @dataclass(frozen=True)
 class TangentBasis:
     """Orthonormal basis of the traceless Hermitian d x d matrices, held implicitly.
@@ -78,13 +91,10 @@ class TangentBasis:
     dim: int
 
     def __post_init__(self):
-        d = self.dim
-        if d < 2:
-            raise InvalidDimensionError(f"dim must be >= 2, got {d}")
-        # Gell-Mann row l - 1 is (1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)) with l ones
-        n, l = np.arange(d), np.arange(1.0, d)[:, None]
-        gell_mann = np.where(n < l, 1.0, np.where(n == l, -l, 0.0)) / np.sqrt(l * (l + 1))
-        object.__setattr__(self, "_pairs", np.triu_indices(d, 1))
+        if self.dim < 2:
+            raise InvalidDimensionError(f"dim must be >= 2, got {self.dim}")
+        pairs, gell_mann = _index_maps(self.dim)
+        object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_gell_mann", gell_mann)
 
     @property

@@ -23,7 +23,6 @@ from .operator_core import (
     MonotoneFunction,
     RLD_FUNCTION,
     SLD_FUNCTION,
-    TangentBasis,
     kf_superoperator,
     tangent_basis,
 )
@@ -55,10 +54,10 @@ def quantum_fisher(
     s: QuantumState | np.ndarray,
     f: MonotoneFunction = SLD_FUNCTION,
     pushforward: KrausChannel | None = None,
-    basis: TangentBasis | None = None,
 ) -> FisherOperator:
     """f-Fisher information operator of the affine family (optionally pushed).
 
+    The e_a are the elements of tangent_basis(d) for the state's dimension d.
     Without a pushforward the entries are Tr[e_a L^f(e_b)] at the given state.
     With a channel E the model becomes theta -> E(rho0 + theta): the state is
     pushed through E and the basis directions through its Kraus operators.
@@ -66,15 +65,13 @@ def quantum_fisher(
     h_a = (u^H E(e_a) u) / sqrt(c_f), so the h_a are the columns of a Gram factor.
     With K' = u^H K (K' = u^H without a channel), the Choi-form tensor
     t[i,j,m,k] = sum_l K'_l[i,j] conj(K'_l[m,k]) is one matmul, and
-    (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] is basis.inner of t with
+    (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] is tangent_basis(d).inner of t with
     axes ordered (i, m, k, j), because e_a is Hermitian.  The d' rows h_a[i,i],
     less their left-null vector sqrt(l) of sigma, come first, then sqrt(2) h_a[j,k]
     (j < k) as real and imaginary parts (SLD) or h_a[j,k] and h_a[k,j].
     """
     rho = _as_state(s).rho
     d = rho.shape[0]
-    if basis is None:
-        basis = tangent_basis(d)
     sigma = rho if pushforward is None else pushforward(rho)
     k = kf_superoperator(sigma, f)
     uh = k.state_eigenvectors.conj().T
@@ -82,7 +79,8 @@ def quantum_fisher(
     dp = kp.shape[1]
     flat = kp.reshape(kp.shape[0], dp * d)
     t = (flat.T @ flat.conj()).reshape(dp, d, dp, d)
-    h = basis.inner(t.transpose(0, 2, 3, 1)) / np.sqrt(k.coefficients)[..., None]  # h[i, m, a]
+    h = tangent_basis(d).inner(t.transpose(0, 2, 3, 1))
+    h /= np.sqrt(k.coefficients)[..., None]  # h[i, m, a]
     # c_f(l, l) = l f(1) = l, so sum_i sqrt(l_i) h_a[i, i] = Tr E(e_a) = 0
     diag = _deflate(h[range(dp), range(dp)], np.sqrt(k.state_eigenvalues))
     r, c = np.triu_indices(dp, 1)
@@ -104,20 +102,16 @@ class CramerRaoReport:
     rld: FisherOperator
 
 
-def quantum_cr_check(
-    s: QuantumState | np.ndarray, m: Povm, basis: TangentBasis | None = None
-) -> CramerRaoReport:
+def quantum_cr_check(s: QuantumState | np.ndarray, m: Povm) -> CramerRaoReport:
     """Check J^M <= J^S and J^M <= J^R for a POVM on a strictly positive state.
 
     The RLD gap is evaluated as a Hermitian form on the complexified
     coordinates, with the (real) classical Fisher matrix embedded.
     """
     s = _as_state(s)
-    if basis is None:
-        basis = tangent_basis(s.dim)
-    jm = fisher_operator(model_from_povm(s, m, basis)).matrix
-    sld = quantum_fisher(s, SLD_FUNCTION, basis=basis)
-    rld = quantum_fisher(s, RLD_FUNCTION, basis=basis)
+    jm = fisher_operator(model_from_povm(s, m)).matrix
+    sld = quantum_fisher(s, SLD_FUNCTION)
+    rld = quantum_fisher(s, RLD_FUNCTION)
     js, jr = sld.matrix, rld.matrix
     sld_gap = float(np.linalg.eigvalsh(js - jm).min())
     rld_gap = float(np.linalg.eigvalsh(jr - jm.astype(complex)).min())

@@ -119,22 +119,18 @@ class ScenarioConfig:
     """Configuration of a named scenario run."""
 
     name: str
-    dim: int = 2  # read by no scenario; the acceptance test's criterion 9 still sets it
     seed: int = 0
     params: dict = field(default_factory=dict)
     cutoffs: tuple = ()
 
     def __post_init__(self):
         try:
-            dim, seed = operator.index(self.dim), operator.index(self.seed)
+            seed = operator.index(self.seed)
             cutoffs = tuple(operator.index(c) for c in self.cutoffs)
         except TypeError as exc:
-            raise UrlabError(f"dim, seed and cutoffs must be integers: {exc}") from exc
-        if dim < 2:
-            raise UrlabError(f"dim must be >= 2, got {dim}")
+            raise UrlabError(f"seed and cutoffs must be integers: {exc}") from exc
         if seed < 0:
             raise UrlabError("seed must be nonnegative")
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "cutoffs", cutoffs)
@@ -252,9 +248,9 @@ def _qutrit_trial(rng, dim_max: int, t: int) -> dict:
     ch = random_channel(rng, dim_max, 3)
     a = random_hermitian(rng, dim_max)
     b = random_hermitian(rng, dim_max)
-    cr = quantum_cr_check(s, m, basis)
+    cr = quantum_cr_check(s, m)
     js = cr.sld
-    js_pushed = quantum_fisher(s, SLD_FUNCTION, pushforward=ch, basis=basis)
+    js_pushed = quantum_fisher(s, SLD_FUNCTION, pushforward=ch)
     gb = basis.coords(grad_expectation(s, b))
     ga = basis.coords(grad_expectation(s, a))
     return {
@@ -289,12 +285,9 @@ def _scenario_oscillator(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
     for d in cutoffs:
         thermal = oscillator.thermal_state(d, nbar)
         q = oscillator.quadrature_q(d)
-        basis = tangent_basis(d)
-        eps = measurement_error(thermal, q, oscillator.homodyne_q_pvm(d), basis)
+        eps = measurement_error(thermal, q, oscillator.homodyne_q_pvm(d))
         rows.append(le_row(f"epsilon_q_cutoff{d}", abs(eps.value), 1e-6))
-        eta = disturbance(
-            thermal, q, oscillator.number_dephasing_channel(d, strength), basis
-        )
+        eta = disturbance(thermal, q, oscillator.number_dephasing_channel(d, strength))
         etas[d] = eta.value
         rows.append(ge_row(f"eta_q_cutoff{d}", eta.value, 0.0, atol=eta_atol))
     lo, hi = (etas[d] for d in sorted(cutoffs)[-2:])
@@ -421,17 +414,17 @@ def _quantum_trial(rng, dim_max: int, t: int) -> dict:
     ch = random_channel(rng, d, int(rng.integers(1, 4)))
 
     # the Cramer-Rao check builds the SLD and RLD operators; f may be either
-    cr = quantum_cr_check(s, m, basis)
+    cr = quantum_cr_check(s, m)
     js, jr = cr.sld, cr.rld
     built = {SLD_FUNCTION.name: js, RLD_FUNCTION.name: jr}
-    jf = built[f.name] if f.name in built else quantum_fisher(s, f, basis=basis)
+    jf = built[f.name] if f.name in built else quantum_fisher(s, f)
     ld = log_derivative(s, phi, f)
     k = kf_superoperator(s.rho, f)
-    jm = fisher_operator(model_from_povm(s, sld_optimal_pvm(s, phi), basis)).matrix
+    jm = fisher_operator(model_from_povm(s, sld_optimal_pvm(s, phi))).matrix
     ga = basis.coords(grad_expectation(s, a))
     gb = basis.coords(grad_expectation(s, b))
     target = float(np.trace(s.rho @ phi @ phi).real - np.trace(s.rho @ phi).real ** 2)
-    jf_pushed = quantum_fisher(s, f, pushforward=ch, basis=basis)
+    jf_pushed = quantum_fisher(s, f, pushforward=ch)
     return {
         "logderiv_residual_max": (
             np.linalg.norm(k.apply(ld) - phi) / max(np.linalg.norm(phi), 1e-300)
@@ -466,14 +459,14 @@ def _uncertainty_trial(rng, dim_max: int, t: int) -> dict:
     b = random_hermitian(rng, d)
     out = {}
 
-    eps = measurement_error(s, a, pvm_of_observable(a), basis)
+    eps = measurement_error(s, a, pvm_of_observable(a))
     if not eps.is_infinite:
         out["pvm_zero_error_max"] = abs(eps.value)
 
     m = random_povm(rng, d, int(rng.integers(2, d * d + 2)))
-    jm = fisher_operator(model_from_povm(s, m, basis))
-    js = quantum_fisher(s, SLD_FUNCTION, basis=basis)
-    jr = quantum_fisher(s, RLD_FUNCTION, basis=basis)
+    jm = fisher_operator(model_from_povm(s, m))
+    js = quantum_fisher(s, SLD_FUNCTION)
+    jr = quantum_fisher(s, RLD_FUNCTION)
     phi = jm.matrix @ rng.normal(size=basis.size)  # in range(J^M)
     if np.linalg.norm(phi) > 1e-9:
         out["optimality_lemma_min_margin"] = (
@@ -484,7 +477,7 @@ def _uncertainty_trial(rng, dim_max: int, t: int) -> dict:
     # the minimizing member of the SLD-optimal family is the PVM of
     # L^S((J^S)^+ chi), whose expectation gradient is exactly chi
     mopt = sld_optimal_pvm(s, basis.matrix(js.solve(cchi)))
-    jopt = fisher_operator(model_from_povm(s, mopt, basis))
+    jopt = fisher_operator(model_from_povm(s, mopt))
     out["min_attainment_max_err"] = max(
         abs(jopt.quad(cchi) - js.quad(cchi)), abs(js.quad(cchi) - jr.quad(cchi))
     )
@@ -501,11 +494,11 @@ def _uncertainty_trial(rng, dim_max: int, t: int) -> dict:
     # an instrument with >= d^2 outcomes keeps the induced POVM
     # informationally complete, so the error-disturbance product check
     # is exercised with finite quantities instead of the infinite branch
-    rep = error_disturbance_report(s, a, b, random_instrument(rng, d, d * d + 1), basis)
+    rep = error_disturbance_report(s, a, b, random_instrument(rng, d, d * d + 1))
     out["domination_error_induced"] = rep.domination_a
     out["domination_disturbance_joint"] = rep.domination_b
     out["error_disturbance_gap_min"] = rep.margin
-    out["error_error_gap_min"] = error_error_report(s, a, b, m, basis).margin
+    out["error_error_gap_min"] = error_error_report(s, a, b, m).margin
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import FisherOperator, fisher_operator, model_from_povm
 from .errors import InvalidOperandError
-from .operator_core import SLD_FUNCTION, TangentBasis, dagger, kf_superoperator, tangent_basis
+from .operator_core import SLD_FUNCTION, dagger, kf_superoperator, tangent_basis
 from .qfisher import quantum_fisher
 from .quantum import (
     CpInstrument,
@@ -63,43 +63,28 @@ def _error_from_operator(j: FisherOperator, g: np.ndarray, var: float) -> ErrorR
     )
 
 
-def measurement_error(
-    s: QuantumState | np.ndarray,
-    a: np.ndarray,
-    m: Povm,
-    basis: TangentBasis | None = None,
-) -> ErrorResult:
+def measurement_error(s: QuantumState | np.ndarray, a: np.ndarray, m: Povm) -> ErrorResult:
     """epsilon(A; rho, M): estimation bound of <A> under M minus sigma^2(A)."""
     s = _as_state(s)
-    if basis is None:
-        basis = tangent_basis(s.dim)
-    grad = grad_expectation(s, a)
-    j = fisher_operator(model_from_povm(s, m, basis))
-    return _error_from_operator(j, basis.coords(grad), variance(s, a))
+    grad = tangent_basis(s.dim).coords(grad_expectation(s, a))
+    j = fisher_operator(model_from_povm(s, m))
+    return _error_from_operator(j, grad, variance(s, a))
 
 
 def _disturbance_and_fisher(
-    s: QuantumState, a: np.ndarray, e: KrausChannel, basis: TangentBasis
+    s: QuantumState, a: np.ndarray, e: KrausChannel
 ) -> tuple[ErrorResult, FisherOperator, np.ndarray]:
     """eta(A; rho, E) for A on E's input, the pushed SLD Fisher operator, grad<A> coordinates."""
     if e.dim_in != s.dim:
         raise InvalidOperandError("channel input dimension does not match the state")
-    grad = basis.coords(grad_expectation(s, a))
-    j = quantum_fisher(s, SLD_FUNCTION, pushforward=e, basis=basis)
+    grad = tangent_basis(s.dim).coords(grad_expectation(s, a))
+    j = quantum_fisher(s, SLD_FUNCTION, pushforward=e)
     return _error_from_operator(j, grad, variance(s, a)), j, grad
 
 
-def disturbance(
-    s: QuantumState | np.ndarray,
-    a: np.ndarray,
-    e: KrausChannel,
-    basis: TangentBasis | None = None,
-) -> ErrorResult:
+def disturbance(s: QuantumState | np.ndarray, a: np.ndarray, e: KrausChannel) -> ErrorResult:
     """eta(A; rho, E): increase of the SLD-optimal bound caused by the channel."""
-    s = _as_state(s)
-    if basis is None:
-        basis = tangent_basis(s.dim)
-    return _disturbance_and_fisher(s, a, e, basis)[0]
+    return _disturbance_and_fisher(_as_state(s), a, e)[0]
 
 
 def joint_povm(ins: CpInstrument, pvm: Povm) -> Povm:
@@ -177,17 +162,12 @@ def _commutator_term(s, a, b) -> float:
 
 
 def error_error_report(
-    s: QuantumState | np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    m: Povm,
-    basis: TangentBasis | None = None,
+    s: QuantumState | np.ndarray, a: np.ndarray, b: np.ndarray, m: Povm
 ) -> UncertaintyReport:
     """eps(A) eps(B) >= R^M(A,B)^2 + |<[A,B]>|^2 / 4 for a simultaneous POVM."""
     s = _as_state(s)
-    if basis is None:
-        basis = tangent_basis(s.dim)
-    j = fisher_operator(model_from_povm(s, m, basis))
+    basis = tangent_basis(s.dim)
+    j = fisher_operator(model_from_povm(s, m))
     ga = basis.coords(grad_expectation(s, a))
     gb = basis.coords(grad_expectation(s, b))
     return UncertaintyReport(
@@ -229,17 +209,13 @@ class ErrorDisturbanceReport(UncertaintyReport):
 
 
 def error_disturbance_report(
-    s: QuantumState | np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    ins: CpInstrument,
-    basis: TangentBasis | None = None,
+    s: QuantumState | np.ndarray, a: np.ndarray, b: np.ndarray, ins: CpInstrument
 ) -> ErrorDisturbanceReport:
     """eps(A; I) eta(B; I) >= R_M(A,B)^2 + |<[A,B]>|^2 / 4.
 
     The witness M is the joint POVM of the instrument followed by the PVM of
     the SLD L of E(rho) in the direction E(X), where E is the average channel
-    and X = basis.matrix((J^S_E)^+ grad<B>) is taken from the same pushed
+    and X = sum_a x_a e_a with x = (J^S_E)^+ grad<B> is taken from the same pushed
     Fisher operator that gives eta(B).  <B> + lambda_y on the second marginal
     is a locally unbiased estimator of <B> with variance (grad<B>,
     (J^S_E)^+ grad<B>), so eps(B; M) <= eta(B; I) by construction; the first
@@ -249,17 +225,16 @@ def error_disturbance_report(
     quantum_fisher, not on a new state, so every CpInstrument has a witness.
     """
     s = _as_state(s)
-    if basis is None:
-        basis = tangent_basis(s.dim)
+    basis = tangent_basis(s.dim)
     avg = average_channel(ins)
     ga, var_a = basis.coords(grad_expectation(s, a)), variance(s, a)
-    j_a = fisher_operator(model_from_povm(s, induced_povm(ins), basis))
+    j_a = fisher_operator(model_from_povm(s, induced_povm(ins)))
     eps_a = _error_from_operator(j_a, ga, var_a)
-    eta_b, j_s, gb = _disturbance_and_fisher(s, b, avg, basis)
+    eta_b, j_s, gb = _disturbance_and_fisher(s, b, avg)
     sigma, ex = avg(np.stack([s.rho, basis.matrix(j_s.solve(gb))]))
     l = kf_superoperator(sigma, SLD_FUNCTION).apply_inverse(ex)
     joint = joint_povm(ins, pvm_of_observable((l + dagger(l)) / 2))
-    j_joint = fisher_operator(model_from_povm(s, joint, basis))
+    j_joint = fisher_operator(model_from_povm(s, joint))
     eps_a_joint = _error_from_operator(j_joint, ga, var_a)
     eps_b_joint = _error_from_operator(j_joint, gb, eta_b.variance)
     return ErrorDisturbanceReport(

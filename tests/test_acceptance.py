@@ -83,7 +83,7 @@ def test_criterion_2_closed_form_qubit_oracles():
     eps = measurement_error(IDENTITY2 / 2, SIGMA_Z, unsharp_z_povm(0.8)).value
     eta = disturbance(IDENTITY2 / 2, SIGMA_Z, depolarizing_channel(0.5)).value
     basis = tangent_basis(2)
-    j = quantum_fisher(qubit_state(rz=0.6), SLD_FUNCTION, basis=basis)
+    j = quantum_fisher(qubit_state(rz=0.6), SLD_FUNCTION)
     sld_form = j.matrix[2, 2]
     ok = (
         abs(eps - 0.5625) <= 1e-10
@@ -125,8 +125,8 @@ def test_criterion_4_correlation_identities():
         b = random_hermitian(gen, d)
         ga = basis.coords(grad_expectation(s, a))
         gb = basis.coords(grad_expectation(s, b))
-        js = quantum_fisher(s, SLD_FUNCTION, basis=basis)
-        jr = quantum_fisher(s, RLD_FUNCTION, basis=basis)
+        js = quantum_fisher(s, SLD_FUNCTION)
+        jr = quantum_fisher(s, RLD_FUNCTION)
         worst = max(worst, abs(js.quad(gb, ga) - sym_correlation(s, a, b)))
         worst = max(worst, abs(complex(gb @ jr.pinv @ ga) - correlation(s, a, b)))
         worst = max(worst, abs(js.quad(ga) - variance(s, a)))
@@ -206,7 +206,7 @@ def test_criterion_7_monte_carlo_cramer_rao():
     start = time.time()
     eta = 0.8
     basis = tangent_basis(2)
-    mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(eta), basis)
+    mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(eta))
     est = locally_unbiased_estimator(mod, basis.coords(SIGMA_Z), 0.0)
     res = monte_carlo_variance(mod, est.values, n=100_000, seed=107)
     elapsed = time.time() - start
@@ -250,7 +250,7 @@ def test_criterion_8_pseudoinverse_and_schur():
 
 def test_criterion_9_oscillator_truncation_proxy():
     start = time.time()
-    cfg = ScenarioConfig(name="oscillator", dim=32, cutoffs=(24, 32),
+    cfg = ScenarioConfig(name="oscillator", cutoffs=(24, 32),
                          params={"mean_photon": 1.0})
     rep = run_scenario(cfg)
     by_name = {r.quantity: r for r in rep.rows}

@@ -159,6 +159,17 @@ def test_deflate_drops_one_row_and_keeps_the_gram_matrix(seed, rows, cols, compl
     assert np.linalg.norm(out.conj().T @ out - gram) <= 1e-14 * np.linalg.norm(gram)
 
 
+def test_fisher_operator_of_probabilities_summing_off_one():
+    # a model admits sum p = 1 + 9e-11; the deflation must still keep sum_x p l l^T
+    rng = np.random.default_rng(1)
+    p = rng.uniform(size=5)
+    p *= (1 + 9e-11) / p.sum()
+    g = rng.normal(size=(5, 3))
+    mod = StatisticalModel(outcomes=range(5), probs=p, scores=g - p @ g / p.sum())
+    want = (mod.probs[:, None] * mod.scores).T @ mod.scores
+    assert np.linalg.norm(fisher_operator(mod).matrix - want) <= 1e-14 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("shape", [(4, 5), (3, 0), (0, 3)], ids=["zero", "no-columns", "no-rows"])
 def test_zero_and_empty_factors_have_rank_zero(shape):
     j = FisherOperator(np.zeros(shape))
@@ -231,8 +242,7 @@ def test_tall_factor_rank_cut_uses_the_factor_shape():
 
 def test_model_from_povm_unsharp_qubit():
     eta = 0.8
-    basis = tangent_basis(2)
-    mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(eta), basis)
+    mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(eta))
     np.testing.assert_allclose(mod.probs, [0.5, 0.5], atol=1e-12)
     j = fisher_operator(mod)
     # only the z direction is informative: J = diag(0, 0, 2 eta^2)
@@ -251,7 +261,7 @@ def test_model_from_povm_drops_null_effects_only():
         effects=((IDENTITY2 + SIGMA_Z) / 2, (IDENTITY2 - SIGMA_Z) / 2,
                  np.zeros((2, 2), dtype=complex)),
     )
-    mod = model_from_povm(IDENTITY2 / 2, pvm, tangent_basis(2))
+    mod = model_from_povm(IDENTITY2 / 2, pvm)
     assert mod.n_outcomes == 2
 
     # a non-negligible effect with vanishing probability flags singularity
@@ -259,7 +269,7 @@ def test_model_from_povm_drops_null_effects_only():
     proj = pvm_effects = np.diag([0.0, 1.0]).astype(complex)
     pvm2 = Povm(outcomes=(0, 1), effects=(np.eye(2) - proj, proj))
     with pytest.raises(SingularModelError):
-        model_from_povm(rho, pvm2, tangent_basis(2))
+        model_from_povm(rho, pvm2)
 
 
 def test_binary_symmetric_pushforward_oracle():
@@ -278,6 +288,8 @@ def test_kernel_validation():
         StochasticKernel(matrix=np.array([[0.5, 0.5], [0.6, 0.5]]))
     with pytest.raises(InvalidOperandError):
         StochasticKernel(matrix=np.array([[1.2, 0.0], [-0.2, 1.0]]))
+    with pytest.raises(InvalidOperandError, match="nonempty"):
+        StochasticKernel(matrix=np.zeros((2, 0)))
 
 
 def test_kernel_rejects_nan_entries():
@@ -320,7 +332,7 @@ def test_monotonicity_random_models(seed):
 def test_locally_unbiased_estimator_unsharp_oracle():
     eta = 0.8
     basis = tangent_basis(2)
-    mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(eta), basis)
+    mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(eta))
     a = basis.coords(SIGMA_Z)
     est = locally_unbiased_estimator(mod, a, target_value=0.0)
     np.testing.assert_allclose(sorted(est.values), [-1 / eta, 1 / eta], atol=1e-12)
@@ -346,7 +358,7 @@ def test_estimator_direction_needs_one_entry_per_parameter():
 
 def test_no_unbiased_estimator_for_kernel_direction():
     basis = tangent_basis(2)
-    mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(0.8), basis)
+    mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(0.8))
     with pytest.raises(NoUnbiasedEstimatorError):
         locally_unbiased_estimator(mod, basis.coords(SIGMA_X), target_value=0.0)
 
@@ -354,7 +366,7 @@ def test_no_unbiased_estimator_for_kernel_direction():
 def test_monte_carlo_variance_matches_model():
     eta = 0.8
     basis = tangent_basis(2)
-    mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(eta), basis)
+    mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(eta))
     est = locally_unbiased_estimator(mod, basis.coords(SIGMA_Z), 0.0)
     res = monte_carlo_variance(mod, est.values, n=100_000, seed=123)
     assert abs(res.var - est.variance) <= 3 * res.stderr

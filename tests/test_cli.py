@@ -215,7 +215,7 @@ class TestScenarioCommand:
     @pytest.mark.parametrize(
         "content",
         [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}},
-         {"dim": "3"}, {"seed": 1.5}, {"cutoffs": ["a"]}, {"cutoffs": 8},
+         {"dim": 3}, {"seed": 1.5}, {"cutoffs": ["a"]}, {"cutoffs": 8},
          {"params": {"etaa": 0.9}}, {"cutoffs": [4, 8]}],
         ids=["unknown-key", "not-an-object", "non-numeric-param", "string-dim",
              "float-seed", "non-integer-cutoff", "scalar-cutoffs", "unknown-param",
@@ -277,11 +277,11 @@ class TestVerifyCommand:
         # quantum Cramer-Rao check included
         keys = []
 
-        def recording(s, f=SLD_FUNCTION, pushforward=None, basis=None):
+        def recording(s, f=SLD_FUNCTION, pushforward=None):
             rho = np.asarray(getattr(s, "rho", s))
             channel = None if pushforward is None else id(pushforward)
             keys.append((rho.tobytes(), f.name, channel))
-            return quantum_fisher(s, f, pushforward, basis)
+            return quantum_fisher(s, f, pushforward)
 
         monkeypatch.setattr(scenarios, "quantum_fisher", recording)
         monkeypatch.setattr(qfisher, "quantum_fisher", recording)

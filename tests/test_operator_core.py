@@ -1,5 +1,7 @@
 """Tangent-space basics: bases, pseudoinverses, Schur reports, K^f solvers."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,16 @@ from urlab import (
     SLD_FUNCTION,
     MonotoneFunction,
     TangentBasis,
+    disturbance,
     error_disturbance_report,
+    error_error_report,
     is_hermitian,
     kf_superoperator,
     measurement_error,
     model_from_povm,
     mp_inverse,
     project_traceless,
+    quantum_cr_check,
     quantum_fisher,
     schur_positivity_report,
     tangent_basis,
@@ -32,7 +37,6 @@ from urlab.randoms import (
     random_complex,
     random_hermitian,
     random_instrument,
-    random_povm,
     random_state,
     rng_from_seed,
 )
@@ -68,24 +72,27 @@ def test_tangent_basis_rejects_dim_one():
         tangent_basis(1)
 
 
-@pytest.mark.parametrize("basis_dim", [2, 4])
-@pytest.mark.parametrize("call", ["measurement_error", "quantum_fisher", "model_from_povm"])
-def test_basis_of_wrong_dimension_is_rejected(rng, call, basis_dim):
-    # without the shape checks a d=2 basis ends in a matmul ValueError, a d=4 one in an IndexError
-    s, m, a = random_state(rng, 3), random_povm(rng, 3, 4), random_hermitian(rng, 3)
-    basis = tangent_basis(basis_dim)
-    run = {
-        "measurement_error": lambda: measurement_error(s, a, m, basis),
-        "quantum_fisher": lambda: quantum_fisher(s, SLD_FUNCTION, basis=basis),
-        "model_from_povm": lambda: model_from_povm(s, m, basis),
-    }[call]
-    with pytest.raises(InvalidDimensionError):
-        run()
+def test_bases_of_one_dimension_share_read_only_index_maps():
+    # the maps are cached per dimension, so a write to one would corrupt every basis
+    a, b = tangent_basis(4), tangent_basis(4)
+    assert a._gell_mann is b._gell_mann and a._pairs is b._pairs
+    for arr in (a._gell_mann, *a._pairs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_no_function_takes_a_basis():
+    # the state's dimension fixes the tangent basis, so a caller cannot pass a mismatched one
+    for fn in (model_from_povm, quantum_fisher, quantum_cr_check, measurement_error,
+               disturbance, error_error_report, error_disturbance_report):
+        assert "basis" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_basis_matrix_rejects_wrong_coordinate_count():
     with pytest.raises(InvalidDimensionError):
         tangent_basis(3).matrix(np.zeros(3))
+    with pytest.raises(InvalidDimensionError):
+        tangent_basis(3).inner(np.eye(2))
 
 
 def test_coords_matrix_round_trip(rng):

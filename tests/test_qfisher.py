@@ -57,7 +57,7 @@ def test_sld_fisher_qubit_closed_form(r):
     # J^S = diag(2, 2, 2 / (1 - r^2)) in the scaled Pauli basis; the
     # pseudoinverse pairing along z reproduces the variance 1 - r^2
     basis = tangent_basis(2)
-    j = quantum_fisher(qubit_state(rz=r), SLD_FUNCTION, basis=basis)
+    j = quantum_fisher(qubit_state(rz=r), SLD_FUNCTION)
     np.testing.assert_allclose(
         j.matrix, np.diag([2.0, 2.0, 2.0 / (1 - r**2)]), atol=1e-10
     )
@@ -89,8 +89,8 @@ def test_correlation_identities(rng):
         b = random_hermitian(gen, d)
         ga = basis.coords(grad_expectation(s, a))
         gb = basis.coords(grad_expectation(s, b))
-        js = quantum_fisher(s, SLD_FUNCTION, basis=basis)
-        jr = quantum_fisher(s, RLD_FUNCTION, basis=basis)
+        js = quantum_fisher(s, SLD_FUNCTION)
+        jr = quantum_fisher(s, RLD_FUNCTION)
         assert js.quad(gb, ga) == pytest.approx(sym_correlation(s, a, b), abs=1e-10)
         rld_pair = complex(gb @ jr.pinv @ ga)
         assert rld_pair == pytest.approx(complex(correlation(s, a, b)), abs=1e-10)
@@ -104,10 +104,10 @@ def test_scalar_variance_identity(rng):
     phi = basis.matrix(gen.normal(size=basis.size))
     target = variance(s, phi)
     c = basis.coords(phi)
-    assert quantum_fisher(s, SLD_FUNCTION, basis=basis).quad(c) == pytest.approx(
+    assert quantum_fisher(s, SLD_FUNCTION).quad(c) == pytest.approx(
         target, abs=1e-10
     )
-    assert quantum_fisher(s, RLD_FUNCTION, basis=basis).quad(c) == pytest.approx(
+    assert quantum_fisher(s, RLD_FUNCTION).quad(c) == pytest.approx(
         target, abs=1e-10
     )
 
@@ -149,7 +149,7 @@ def test_fisher_matrix_matches_metric_entries(f):
     sigma = ch(s.rho)
     images = [ch(e) for e in basis.elements]
     ref = np.array([[monotone_metric_value(sigma, f, x, y) for y in images] for x in images])
-    j = quantum_fisher(s, f, pushforward=ch, basis=basis).matrix
+    j = quantum_fisher(s, f, pushforward=ch).matrix
     np.testing.assert_allclose(j, ref, atol=1e-12 * np.abs(ref).max())
 
 
@@ -165,7 +165,7 @@ def test_pushed_fisher_matches_metric_entries_on_non_square_channels(f, d_in, d_
     sigma = ch(s.rho)
     images = [ch(e) for e in basis.elements]
     ref = np.array([[monotone_metric_value(sigma, f, x, y) for y in images] for x in images])
-    j = quantum_fisher(s, f, pushforward=ch, basis=basis).matrix
+    j = quantum_fisher(s, f, pushforward=ch).matrix
     np.testing.assert_allclose(j, ref, atol=1e-12 * np.abs(ref).max())
 
 def test_pushed_fisher_applies_the_channel_once(monkeypatch):
@@ -192,8 +192,8 @@ def test_sld_optimal_pvm_attains_fisher_form(rng):
     basis = tangent_basis(3)
     phi = basis.matrix(gen.normal(size=basis.size))
     pvm = sld_optimal_pvm(s, phi)
-    jm = fisher_operator(model_from_povm(s, pvm, basis)).matrix
-    js = quantum_fisher(s, SLD_FUNCTION, basis=basis).matrix
+    jm = fisher_operator(model_from_povm(s, pvm)).matrix
+    js = quantum_fisher(s, SLD_FUNCTION).matrix
     c = basis.coords(phi)
     assert c @ jm @ c == pytest.approx(c @ js @ c, rel=1e-10)
 
