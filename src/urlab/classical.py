@@ -8,8 +8,9 @@ through a Gram factor B with J = B^H B; the quantum Fisher informations of
 qfisher use the same type, so error and disturbance share one quadratic form
 and one J^+ solve.  Each builder deflates the factor's left-null vector known
 in closed form (sqrt(p) here, by the zero-mean score identity), so the rank
-cut never meets its rounding residue.  B's 1x1 blocks are read off directly
-and the rest of B takes one thin SVD, of the R of its QR when it is tall.
+cut never meets its rounding residue.  One nonzero mask of B finds its 1x1
+blocks, read off directly; the rest of B takes one thin SVD (of the R of its QR
+when it is tall), and each row of V^H is written once, at its sorted position.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .quantum import Povm, QuantumState, _as_state
 P_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatisticalModel:
     """Finite-outcome model: probabilities and scores per tangent direction.
 
@@ -71,8 +72,10 @@ class StatisticalModel:
 
 
 def _deflate(b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows 1: of H b, H = I - w w^T / (1 + v[0]), w = v + e_1, the reflection of a
-    unit v (v[0] >= 0) to -e_1: for v^T b = 0 the dropped row 0 is rounding."""
+    """Rows 1: of H b, H = I - w w^T / (1 + u[0]), w = u + e_1, the reflection of u = v / |v|
+    (v[0] >= 0) to -e_1; v^T b = 0 makes the dropped row 0 rounding.  Sum p and Tr sigma
+    are 1 only to 1e-10, so v is normalized here."""
+    v = v / np.linalg.norm(v)
     return b[1:] - v[1:, None] * ((v @ b + b[0]) / (1 + v[0]))
 
 
@@ -87,15 +90,13 @@ def _thin_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of b in descending order, and the matching rows of V^H.
 
-    A factor with zero entries splits off its 1x1 blocks: an entry that is the
-    only nonzero of its row and of its column has singular value |b_rc| and
-    V^H row e_c (its phase goes to U, which is not kept).  The other nonzero
-    rows and columns take one thin SVD; zero rows and columns are left out.
-    """
-    if np.count_nonzero(b) == b.size:
-        return _thin_svd(b)
+    A factor with zero entries splits off its 1x1 blocks: an entry alone in its
+    row and its column has singular value |b_rc| and V^H row e_c (its phase goes
+    to U, not kept).  The other nonzero rows and columns take one thin SVD."""
     nz = b != 0
-    nrow, ncol = nz.sum(axis=1), nz.sum(axis=0)
+    if nz.all():  # tested first: the per-axis counts cost more than a small factor's SVD
+        return _thin_svd(b)
+    nrow, ncol = np.count_nonzero(nz, axis=1), np.count_nonzero(nz, axis=0)
     r = np.flatnonzero(nrow == 1)
     c = nz[r].argmax(axis=1)
     alone = ncol[c] == 1  # the row's only nonzero is also its column's only one
@@ -104,11 +105,12 @@ def _block_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows[r] = cols[c] = False
     sv, v = _thin_svd(b[rows][:, cols])
     sv = np.concatenate([np.abs(b[r, c]), sv])
+    order = np.argsort(-sv, kind="stable")
+    at = np.argsort(order)  # the sorted position of each singular value
     vh = np.zeros((sv.size, b.shape[1]), v.dtype)
-    vh[np.arange(r.size), c] = 1
-    vh[r.size:, cols] = v
-    idx = np.argsort(-sv, kind="stable")
-    return sv[idx], vh[idx]
+    vh[at[: r.size], c] = 1
+    vh[at[r.size :, None], np.flatnonzero(cols)] = v
+    return sv[order], vh
 
 
 class FisherOperator:
@@ -165,7 +167,7 @@ class FisherOperator:
         return self.kernel_violation(a) <= 1e-8 * max(np.linalg.norm(a), 1e-300)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticKernel:
     """Column-stochastic matrix mapping old outcomes to new outcomes."""
 
@@ -221,9 +223,9 @@ def model_from_povm(s: QuantumState | np.ndarray, m: Povm) -> StatisticalModel:
 
 def fisher_operator(mod: StatisticalModel) -> FisherOperator:
     """J_ab = sum_x p(x) l(x; e_a) l(x; e_b): factor rows sqrt(p(x)) l(x; .), less
-    their left-null vector sqrt(p), normalized because sum p is 1 only to 1e-10."""
+    their left-null vector sqrt(p)."""
     v = np.sqrt(mod.probs)
-    return FisherOperator(_deflate(v[:, None] * mod.scores, v / np.linalg.norm(v)))
+    return FisherOperator(_deflate(v[:, None] * mod.scores, v))
 
 
 def markov_pushforward(mod: StatisticalModel, k: StochasticKernel) -> StatisticalModel:
@@ -258,7 +260,7 @@ def monotonicity_check(mod: StatisticalModel, k: StochasticKernel) -> Monotonici
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimator:
     """Locally unbiased estimator: one real value per model outcome."""
 

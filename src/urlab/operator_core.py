@@ -64,8 +64,8 @@ def project_traceless(a: np.ndarray) -> np.ndarray:
 
 @cache
 def _index_maps(d: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The (j < k) index pair and the (d - 1) x d Gell-Mann matrix, read-only and
-    built once per dimension: every basis of a dimension shares them."""
+    """The (j < k) index pair and the (d - 1) x d Gell-Mann matrix, read-only and built
+    once per dimension d >= 1: every basis, and quantum_fisher's pairs, share them."""
     # Gell-Mann row l - 1 is (1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)) with l ones
     n, l = np.arange(d), np.arange(1.0, d)[:, None]
     gell_mann = np.where(n < l, 1.0, np.where(n == l, -l, 0.0)) / np.sqrt(l * (l + 1))
@@ -157,7 +157,7 @@ def tangent_basis(dim: int) -> TangentBasis:
     return TangentBasis(dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PinvResult:
     """Moore-Penrose inverse plus its numerical rank."""
 
@@ -277,7 +277,7 @@ def _bogoliubov_evaluate(x):
 BOGOLIUBOV_FUNCTION = MonotoneFunction("bogoliubov", _bogoliubov_evaluate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperOperatorKf:
     """The map X -> sum_ij c_f(lambda_i, lambda_j) X_ij in the state eigenbasis.
 

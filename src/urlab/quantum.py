@@ -22,7 +22,7 @@ from .errors import InvalidOperandError
 from .operator_core import dagger, eigh_tol, is_hermitian, project_traceless, require_hermitian
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
     """Density matrix, validated once; rho is the validated matrix.
 
@@ -68,7 +68,7 @@ def _operator_stack(ops, what: str) -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Finite family of PSD effects, one (n, d, d) array, summing to the identity to 1e-8."""
 
@@ -110,7 +110,7 @@ class Povm:
         return bool(np.all(np.abs(e @ e - e).max(axis=(1, 2)) <= 1e-8 * scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CPTP map from a (k, d', d) array of Kraus operators; applies to (..., d, d) stacks."""
 
@@ -143,7 +143,7 @@ class KrausChannel:
         return kraus_sum(dagger(self.kraus), y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpInstrument:
     """Outcome-indexed Kraus sets whose total map, kept as channel, is trace preserving.
 
@@ -267,8 +267,7 @@ def pvm_of_observable(a: np.ndarray) -> Povm:
     w, u = np.linalg.eigh(a)
     tol = 1e-8 * max(np.linalg.norm(a), 1.0)
     # eigenvalues are ascending: a new cluster starts at every gap above the tolerance
-    clusters = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > tol) + 1)
-    outcomes = tuple(float(np.mean(w[idx])) for idx in clusters)
-    effects = [u[:, idx] @ dagger(u[:, idx]) for idx in clusters]
-    return Povm(outcomes=outcomes, effects=effects)
-
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol)
+    outcomes = np.add.reduceat(w, starts) / np.diff(starts, append=w.size)
+    effects = np.add.reduceat(u.T[:, :, None] * u.T.conj()[:, None, :], starts)  # u_i u_i^H
+    return Povm(outcomes=tuple(outcomes.tolist()), effects=effects)

@@ -11,6 +11,7 @@ from urlab import (
     correlation,
     fisher_operator,
     grad_expectation,
+    kf_superoperator,
     log_derivative,
     measurement_error,
     model_from_povm,
@@ -154,9 +155,11 @@ def test_fisher_matrix_matches_metric_entries(f):
 
 
 @pytest.mark.parametrize("f", [SLD_FUNCTION, RLD_FUNCTION, BOGOLIUBOV_FUNCTION])
-@pytest.mark.parametrize("d_in, d_out, n_kraus", [(2, 3, 2), (3, 2, 3)])
+@pytest.mark.parametrize("d_in, d_out, n_kraus", [(2, 3, 2), (3, 2, 3), (3, 1, 3)])
 def test_pushed_fisher_matches_metric_entries_on_non_square_channels(f, d_in, d_out, n_kraus):
-    # the Choi-form factor reshapes (k, d', d) Kraus stacks; d' != d tells the axes apart
+    # the Choi-form factor reshapes (k, d', d) Kraus stacks; d' != d tells the axes apart.
+    # Onto one level every E(e_a) = Tr[e_a] is 0: there are no i < m rows, and the
+    # reference is rounding, so its scale is floored
     gen = rng_from_seed(12)
     z = gen.normal(size=(n_kraus * d_out, d_in)) + 1j * gen.normal(size=(n_kraus * d_out, d_in))
     ch = KrausChannel(kraus=np.linalg.qr(z)[0].reshape(n_kraus, d_out, d_in))
@@ -165,8 +168,24 @@ def test_pushed_fisher_matches_metric_entries_on_non_square_channels(f, d_in, d_
     sigma = ch(s.rho)
     images = [ch(e) for e in basis.elements]
     ref = np.array([[monotone_metric_value(sigma, f, x, y) for y in images] for x in images])
-    j = quantum_fisher(s, f, pushforward=ch).matrix
-    np.testing.assert_allclose(j, ref, atol=1e-12 * np.abs(ref).max())
+    j = quantum_fisher(s, f, pushforward=ch)
+    np.testing.assert_allclose(j.matrix, ref, atol=1e-12 * max(np.abs(ref).max(), 1e-12))
+    if d_out == 1:
+        assert j.factor.shape == (0, d_in * d_in - 1) and j.rank == 0
+
+
+def test_pushed_fisher_of_a_channel_trace_preserving_only_to_1e_10():
+    # KrausChannel admits sum K^H K = I within 1e-10, so Tr sigma = 1 + 9e-11 here, and
+    # the deflated null vector sqrt(l) of sigma must be normalized to keep the Gram matrix
+    gen = rng_from_seed(3)
+    ch = KrausChannel(kraus=random_channel(gen, 3, 2).kraus * np.sqrt(1 + 9e-11))
+    s = random_state(gen, 3)
+    k = kf_superoperator(ch(s.rho), SLD_FUNCTION)
+    images = [ch(e) for e in tangent_basis(3).elements]
+    ref = np.array([[np.vdot(x, k.apply_inverse(y)).real for y in images] for x in images])
+    j = quantum_fisher(s, SLD_FUNCTION, pushforward=ch).matrix
+    assert np.linalg.norm(j - ref) <= 1e-14 * np.linalg.norm(ref)
+
 
 def test_pushed_fisher_applies_the_channel_once(monkeypatch):
     # to the state only: the basis directions go through the Kraus operators

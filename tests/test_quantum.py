@@ -6,21 +6,27 @@ import numpy as np
 import pytest
 
 from urlab import (
+    SLD_FUNCTION,
     CpInstrument,
     KrausChannel,
     Povm,
     QuantumState,
+    StatisticalModel,
+    StochasticKernel,
     average_channel,
     correlation,
     expectation,
     grad_expectation,
     induced_povm,
     is_hermitian,
+    kf_superoperator,
     measurement_error,
+    mp_inverse,
     pvm_of_observable,
     sym_correlation,
     variance,
 )
+from urlab.classical import Estimator
 from urlab.errors import InvalidOperandError
 from urlab.quantum import kraus_sum
 from urlab.randoms import random_complex, rng_from_seed
@@ -247,6 +253,39 @@ class TestPvmOfObservable:
         assert len(pvm) == 2
         ranks = sorted(int(round(np.trace(e).real)) for e in pvm.effects)
         assert ranks == [1, 2]
+        # in a random basis: a level split by 1e-10 < 1e-8 |A| and an exact double level
+        u = np.linalg.qr(random_complex(rng_from_seed(4), (5, 5)))[0]
+        w = np.array([-1.0, -1.0, 0.5, 0.5 + 1e-10, 2.0])
+        pvm = pvm_of_observable((u * w) @ u.conj().T)
+        clusters = [[0, 1], [2, 3], [4]]
+        assert pvm.outcomes == pytest.approx([w[c].mean() for c in clusters], rel=0, abs=1e-14)
+        assert list(pvm.outcomes) == sorted(pvm.outcomes)
+        for e, c in zip(pvm.effects, clusters):
+            np.testing.assert_allclose(e, u[:, c] @ u[:, c].conj().T, rtol=0, atol=1e-13)
+        assert np.abs(pvm.effects.sum(axis=0) - np.eye(5)).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StatisticalModel(outcomes=(0, 1), probs=[0.5, 0.5], scores=[[1.0], [-1.0]]),
+        lambda: StochasticKernel(matrix=np.eye(2)),
+        lambda: Estimator(values=np.zeros(2), variance=0.0),
+        lambda: mp_inverse(np.eye(2)),
+        lambda: kf_superoperator(IDENTITY2 / 2, SLD_FUNCTION),
+        lambda: QuantumState(base=IDENTITY2 / 2),
+        lambda: unsharp_z_povm(0.5),
+        lambda: KrausChannel(kraus=[IDENTITY2]),
+        luders_z_instrument,
+    ],
+    ids=["model", "kernel", "estimator", "pinv", "kf", "state", "povm", "channel", "instrument"],
+)
+def test_array_holding_objects_compare_and_hash_by_identity(build):
+    # a generated __eq__ would compare arrays, whose truth value raises
+    x, y = build(), build()
+    assert x == x and x != y
+    assert hash(x) == hash(x)
+    assert x in {x} and y not in {x}
 
 
 def test_induced_povm_and_average_channel():
