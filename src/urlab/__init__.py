@@ -37,7 +37,6 @@ from .operator_core import (
 )
 from .qfisher import (
     log_derivative,
-    monotone_metric_value,
     quantum_cr_check,
     quantum_fisher,
     sld_optimal_pvm,

@@ -24,6 +24,7 @@ from .errors import (
     InvalidOperandError,
     NoUnbiasedEstimatorError,
     SingularModelError,
+    _as_int,
 )
 from .operator_core import tangent_basis
 from .quantum import Povm, QuantumState, _as_state
@@ -303,6 +304,7 @@ def monte_carlo_variance(
     stderr is the normal-theory variance-of-variance approximation
     sqrt(2 / (n - 1)) * var.
     """
+    n, seed = _as_int(n, "n", InvalidOperandError), _as_int(seed, "seed", InvalidOperandError)
     if n < 1000:
         raise InvalidOperandError("need at least 1000 samples")
     if seed < 0:

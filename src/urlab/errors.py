@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all urlab modules."""
+"""Exception hierarchy shared by all urlab modules, and their one integer rule."""
+
+import operator
 
 
 class UrlabError(Exception):
@@ -23,3 +25,11 @@ class SingularModelError(UrlabError):
 
 class NoUnbiasedEstimatorError(UrlabError):
     """The requested gradient has a component in the kernel of the Fisher operator."""
+
+
+def _as_int(value, name: str, error: type = UrlabError) -> int:
+    """value by operator.index, so 2.5 or "3" is refused and numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

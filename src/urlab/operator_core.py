@@ -11,12 +11,12 @@ with f(1) = 1, and its K^f coefficient is always b f(a / b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidOperandError, SingularStateError
+from .errors import InvalidDimensionError, InvalidOperandError, SingularStateError, _as_int
 
 # Relative tolerance for hermiticity checks.
 HERM_RTOL = 1e-12
@@ -84,13 +84,13 @@ class TangentBasis:
     (generalized Gell-Mann diagonals), so coordinate vectors are reproducible
     across runs.  Only the (j < k) index pair and the (d - 1) x d Gell-Mann
     matrix G are kept.  inner reads each entry of a matrix once, O(d^2) per
-    matrix, and matrix is two scatters and a product with G.  The dense
-    elements are built only on request.
+    matrix, and matrix is two scatters and a product with G.
     """
 
     dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _as_int(self.dim, "dim", InvalidDimensionError))
         if self.dim < 2:
             raise InvalidDimensionError(f"dim must be >= 2, got {self.dim}")
         pairs, gell_mann = _index_maps(self.dim)
@@ -143,11 +143,6 @@ class TangentBasis:
         out.reshape(c.shape[:-1] + (d * d,))[..., :: d + 1] = c[..., 2 * p :] @ self._gell_mann
         return out
 
-    @cached_property
-    def elements(self) -> np.ndarray:
-        """The dense (d^2 - 1, d, d) stack of elements: O(d^4) memory."""
-        return self.matrix(np.eye(self.size))
-
 
 def tangent_basis(dim: int) -> TangentBasis:
     """Orthonormal traceless Hermitian basis for the given dimension.
@@ -173,8 +168,8 @@ def mp_inverse(s: np.ndarray) -> PinvResult:
     satisfies the four Penrose conditions up to roundoff.
     """
     s = np.asarray(s)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise InvalidOperandError("pseudoinverse argument is not a square matrix")
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or not np.isfinite(s).all():
+        raise InvalidOperandError("pseudoinverse argument is not a finite square matrix")
     n = s.shape[0]
     u, sv, vh = np.linalg.svd(s)
     tol = n * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
@@ -198,6 +193,15 @@ class SchurReport:
     cond3: bool
 
 
+def _schur_condition(a, b, c, pinv_a, tol) -> bool:
+    """A >= 0, range(B) subset range(A) (that is, A A^+ B = B), and C - B* A^+ B >= 0."""
+    return (
+        _min_eig(a) >= -tol
+        and np.linalg.norm(a @ pinv_a @ b - b) <= tol
+        and _min_eig(c - b.conj().T @ pinv_a @ b) >= -tol
+    )
+
+
 def schur_positivity_report(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> SchurReport:
     """Check the three equivalent characterizations of block PSD-ness.
 
@@ -213,27 +217,12 @@ def schur_positivity_report(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Schu
             f"block B has shape {b.shape}, expected {(a.shape[0], c.shape[0])}"
         )
     m = np.block([[a, b], [b.conj().T, c]])
-    norm = max(np.linalg.norm(m), 1.0)
-    is_psd = _min_eig(m) >= -1e-9 * norm
-
-    pa = mp_inverse(a)
-    pc = mp_inverse(c)
-    schur_ma = c - b.conj().T @ pa.pinv @ b  # M/A
-    schur_mc = a - b @ pc.pinv @ b.conj().T  # M/C
-    # range(B) subset range(A)  <=>  A A^+ B = B
-    range_b_in_a = np.linalg.norm(a @ pa.pinv @ b - b) <= 1e-9 * norm
-    range_bt_in_c = np.linalg.norm(c @ pc.pinv @ b.conj().T - b.conj().T) <= 1e-9 * norm
-    cond2 = (
-        _min_eig(a) >= -1e-9 * norm
-        and range_b_in_a
-        and _min_eig(schur_ma) >= -1e-9 * norm
+    tol = 1e-9 * max(np.linalg.norm(m), 1.0)
+    return SchurReport(
+        is_psd=_min_eig(m) >= -tol,
+        cond2=_schur_condition(a, b, c, mp_inverse(a).pinv, tol),
+        cond3=_schur_condition(c, b.conj().T, a, mp_inverse(c).pinv, tol),
     )
-    cond3 = (
-        _min_eig(c) >= -1e-9 * norm
-        and range_bt_in_c
-        and _min_eig(schur_mc) >= -1e-9 * norm
-    )
-    return SchurReport(is_psd=is_psd, cond2=cond2, cond3=cond3)
 
 
 @dataclass(frozen=True)
@@ -252,10 +241,12 @@ class MonotoneFunction:
 
     def __post_init__(self):
         one = float(np.asarray(self.evaluate(np.ones(1)), dtype=float)[0])
-        if abs(one - 1.0) > 1e-12:
+        if not abs(one - 1.0) <= 1e-12:
             raise InvalidOperandError(f"function {self.name!r} has f(1) = {one!r}, not 1")
         grid = np.linspace(1e-3, 1e3, 1000)
         vals = np.asarray(self.evaluate(grid), dtype=float)
+        if not np.isfinite(vals).all():
+            raise InvalidOperandError(f"function {self.name!r} is not finite")
         if np.any(np.diff(vals) < -1e-12 * max(1.0, np.abs(vals).max())):
             raise InvalidOperandError(f"function {self.name!r} is not nondecreasing")
 

@@ -137,19 +137,3 @@ def sld_optimal_pvm(s: QuantumState | np.ndarray, phi: np.ndarray) -> Povm:
     """
     l = log_derivative(s, phi, SLD_FUNCTION)
     return pvm_of_observable((l + l.conj().T) / 2)
-
-
-def monotone_metric_value(
-    s: QuantumState | np.ndarray,
-    f: MonotoneFunction,
-    v: np.ndarray,
-    w: np.ndarray,
-) -> complex:
-    """G^f_rho(V, W) = Tr[V^dagger (K^f_rho)^{-1} W]."""
-    rho = _as_state(s).rho
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if v.shape != rho.shape or w.shape != rho.shape:
-        raise InvalidOperandError("tangent dimension mismatch")
-    k = kf_superoperator(rho, f)
-    return complex(np.vdot(v, k.apply_inverse(w)))

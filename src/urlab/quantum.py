@@ -8,8 +8,8 @@ Hermitian, unit trace, smallest eigenvalue at least -eigh_tol.  Operator
 families (effects, Kraus operators) are single complex (n, rows, cols) arrays,
 and an instrument keeps its total channel.  A POVM's effects pass the PSD test
 with one batched Cholesky factorization of E + tol I; only when that fails do
-their smallest eigenvalues decide and name the offending effect.  Every channel
-application goes through kraus_sum, two matrix products over the Kraus stack.
+their smallest eigenvalues decide and name the offending effect.  apply_channel
+and KrausChannel.adjoint each make two matrix products over the Kraus stack.
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ class KrausChannel:
         kraus = _operator_stack(self.kraus, "Kraus operators")
         # sum_k K^dagger K = I: the Kraus operators stacked vertically are an isometry
         v = kraus.reshape(-1, kraus.shape[2])
+        if not np.isfinite(v).all():
+            raise InvalidOperandError("Kraus operators are not finite")
         if np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() > 1e-10:
             raise InvalidOperandError("channel is not trace preserving")
         object.__setattr__(self, "kraus", kraus)
@@ -140,7 +142,7 @@ class KrausChannel:
         y = np.asarray(y, dtype=complex)
         if y.shape[-2:] != (self.dim_out, self.dim_out):
             raise InvalidOperandError("operand dimension mismatch with channel output")
-        return kraus_sum(dagger(self.kraus), y)
+        return _kraus_sum(dagger(self.kraus), y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +175,18 @@ class CpInstrument:
         return self.channel.dim_in
 
 
+def _operands(s, *ops) -> tuple:
+    """The state's rho, then each operand as a finite complex matrix of rho's shape."""
+    rho = _as_state(s).rho
+    ops = [np.asarray(x, dtype=complex) for x in ops]
+    if any(x.shape != rho.shape or not np.isfinite(x).all() for x in ops):
+        raise InvalidOperandError("operand has the wrong dimension or is not finite")
+    return rho, *ops
+
+
 def expectation(s, a: np.ndarray) -> float:
     """<A> = Tr[rho A]; the imaginary residue must be negligible."""
-    rho = _as_state(s).rho
-    a = np.asarray(a, dtype=complex)
-    if a.shape != rho.shape:
-        raise InvalidOperandError("observable dimension mismatch")
+    rho, a = _operands(s, a)
     val = complex(np.trace(rho @ a))
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise InvalidOperandError(f"expectation has imaginary residue {val.imag:.3e}")
@@ -187,11 +195,7 @@ def expectation(s, a: np.ndarray) -> float:
 
 def correlation(s, a: np.ndarray, b: np.ndarray) -> complex:
     """C(A, B) = <A* B> - <A><B> (complex in general)."""
-    rho = _as_state(s).rho
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != rho.shape or b.shape != rho.shape:
-        raise InvalidOperandError("operand dimension mismatch")
+    rho, a, b = _operands(s, a, b)
     mean_a = complex(np.trace(rho @ a))
     mean_b = complex(np.trace(rho @ b))
     return complex(np.trace(rho @ a.conj().T @ b)) - mean_a.conjugate() * mean_b
@@ -216,14 +220,10 @@ def grad_expectation(s, a: np.ndarray) -> np.ndarray:
 
     Independent of the parameter because the state family is affine.
     """
-    rho = _as_state(s).rho
-    a = np.asarray(a, dtype=complex)
-    if a.shape != rho.shape:
-        raise InvalidOperandError("observable dimension mismatch")
-    return project_traceless(a)
+    return project_traceless(_operands(s, a)[1])
 
 
-def kraus_sum(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _kraus_sum(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k K_k x K_k^dagger for a (k, d', d) Kraus stack and x of shape (..., d, d).
 
     Two products batched over x's leading axes: b = x [K_1^H ... K_k^H], then
@@ -242,7 +242,7 @@ def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
         raise InvalidOperandError(
             f"operand shape {x.shape} incompatible with channel input {ch.dim_in}"
         )
-    return kraus_sum(ch.kraus, x)
+    return _kraus_sum(ch.kraus, x)
 
 
 def induced_povm(ins: CpInstrument) -> Povm:

@@ -113,26 +113,18 @@ def new_metadata(seed: int, dims, started: float) -> dict:
 def emit(report: RunReport, fmt: str, path: str) -> None:
     """Write a report as CSV (fixed column contract) or JSON.
 
-    Infinite values serialize as the string "inf" in both formats.
+    Both carry the strings of to_dict, so infinite values are "inf" in both.
     """
-    if fmt == "csv":
-        try:
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_COLUMNS)
-                for r in report.rows:
-                    writer.writerow(
-                        [report.scenario, r.quantity, _fmt(r.value), _fmt(r.bound),
-                         _fmt(r.gap), r.status]
-                    )
-        except OSError as exc:
-            raise UrlabError(f"cannot write {path}: {exc}") from exc
-    elif fmt == "json":
-        try:
-            with open(path, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise UrlabError(f"cannot write {path}: {exc}") from exc
-    else:
+    if fmt not in ("csv", "json"):
         raise UrlabError(f"unknown format {fmt!r}")
+    data = report.to_dict()
+    try:
+        with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+            if fmt == "json":
+                json.dump(data, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            else:
+                rows = ([report.scenario, *(r[c] for c in CSV_COLUMNS[1:])] for r in data["rows"])
+                csv.writer(fh).writerows([CSV_COLUMNS, *rows])
+    except OSError as exc:
+        raise UrlabError(f"cannot write {path}: {exc}") from exc

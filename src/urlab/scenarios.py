@@ -29,7 +29,7 @@ from .classical import (
     model_from_povm,
     monotonicity_check,
 )
-from .errors import UrlabError
+from .errors import UrlabError, _as_int
 from .operator_core import (
     BOGOLIUBOV_FUNCTION,
     RLD_FUNCTION,
@@ -524,6 +524,8 @@ def run_verify(
     suite: str, trials: int = 50, seed: int = 0, dim_max: int = 5
 ) -> RunReport:
     """Run a randomized property suite and report per-property extremes."""
+    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
+    dim_max = _as_int(dim_max, "dim_max")
     if trials < 1:
         raise UrlabError("trials must be >= 1")
     if seed < 0:

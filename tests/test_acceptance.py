@@ -82,7 +82,6 @@ def test_criterion_1_pvm_zero_error():
 def test_criterion_2_closed_form_qubit_oracles():
     eps = measurement_error(IDENTITY2 / 2, SIGMA_Z, unsharp_z_povm(0.8)).value
     eta = disturbance(IDENTITY2 / 2, SIGMA_Z, depolarizing_channel(0.5)).value
-    basis = tangent_basis(2)
     j = quantum_fisher(qubit_state(rz=0.6), SLD_FUNCTION)
     sld_form = j.matrix[2, 2]
     ok = (

@@ -217,7 +217,7 @@ class TestScenarioCommand:
         [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}},
          {"dim": 3}, {"seed": 1.5}, {"cutoffs": ["a"]}, {"cutoffs": 8},
          {"params": {"etaa": 0.9}}, {"cutoffs": [4, 8]}],
-        ids=["unknown-key", "not-an-object", "non-numeric-param", "string-dim",
+        ids=["unknown-key", "not-an-object", "non-numeric-param", "unknown-dim-key",
              "float-seed", "non-integer-cutoff", "scalar-cutoffs", "unknown-param",
              "unread-cutoffs"],
     )

@@ -12,7 +12,7 @@ from urlab import (
     RLD_FUNCTION,
     SLD_FUNCTION,
     MonotoneFunction,
-    TangentBasis,
+    StatisticalModel,
     disturbance,
     error_disturbance_report,
     error_error_report,
@@ -20,6 +20,7 @@ from urlab import (
     kf_superoperator,
     measurement_error,
     model_from_povm,
+    monte_carlo_variance,
     mp_inverse,
     project_traceless,
     quantum_cr_check,
@@ -36,40 +37,58 @@ from urlab.errors import (
 from urlab.randoms import (
     random_complex,
     random_hermitian,
-    random_instrument,
-    random_state,
     rng_from_seed,
 )
 from urlab.oscillator import thermal_state
-from urlab.scenarios import ScenarioConfig, run_scenario
+from urlab.scenarios import run_verify
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, qubit_state
+
+_MODEL = StatisticalModel(outcomes=(0, 1, 2), probs=np.full(3, 1 / 3), scores=np.zeros((3, 1)))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_tangent_basis_orthonormal_traceless(dim):
     basis = tangent_basis(dim)
     assert basis.size == dim * dim - 1
+    elements = basis.matrix(np.eye(basis.size))
     for a in range(basis.size):
-        assert abs(np.trace(basis.elements[a])) < 1e-12
-        assert is_hermitian(basis.elements[a])
+        assert abs(np.trace(elements[a])) < 1e-12
+        assert is_hermitian(elements[a])
         for b in range(basis.size):
             expected = 1.0 if a == b else 0.0
-            assert np.vdot(basis.elements[a], basis.elements[b]) == pytest.approx(
-                expected, abs=1e-12
-            )
+            assert np.vdot(elements[a], elements[b]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_tangent_basis_dim2_is_scaled_pauli():
-    basis = tangent_basis(2)
-    np.testing.assert_allclose(basis.elements[0], SIGMA_X / np.sqrt(2), atol=1e-14)
-    np.testing.assert_allclose(basis.elements[1], SIGMA_Y / np.sqrt(2), atol=1e-14)
-    np.testing.assert_allclose(basis.elements[2], SIGMA_Z / np.sqrt(2), atol=1e-14)
+    elements = tangent_basis(2).matrix(np.eye(3))
+    np.testing.assert_allclose(elements[0], SIGMA_X / np.sqrt(2), atol=1e-14)
+    np.testing.assert_allclose(elements[1], SIGMA_Y / np.sqrt(2), atol=1e-14)
+    np.testing.assert_allclose(elements[2], SIGMA_Z / np.sqrt(2), atol=1e-14)
 
 
 def test_tangent_basis_rejects_dim_one():
     with pytest.raises(InvalidDimensionError):
         tangent_basis(1)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: tangent_basis(2.5), InvalidDimensionError),
+        (lambda: run_verify("all", trials=2.5), UrlabError),
+        (lambda: run_verify("all", trials=1, dim_max=2.5), UrlabError),
+        (lambda: run_verify("all", trials=1, seed=1.5), UrlabError),
+        (lambda: monte_carlo_variance(_MODEL, np.zeros(3), 1000.5, 0), InvalidOperandError),
+        (lambda: monte_carlo_variance(_MODEL, np.zeros(3), 1000, 0.5), InvalidOperandError),
+    ],
+    ids=["basis-dim", "verify-trials", "verify-dim-max", "verify-seed", "mc-n", "mc-seed"],
+)
+def test_integer_parameters_take_operator_index(call, error):
+    # 2.5 once built a basis of size 5.25; the others raised a raw TypeError
+    with pytest.raises(error, match="integer"):
+        call()
+    assert tangent_basis(np.int64(3)).size == 8
 
 
 def test_bases_of_one_dimension_share_read_only_index_maps():
@@ -130,7 +149,7 @@ def test_stacked_coords_and_matrix_match_dense_basis(dim):
     gen = rng_from_seed(20 + dim)
     basis = tangent_basis(dim)
     dense = _dense_basis(dim)
-    np.testing.assert_allclose(basis.elements, dense, atol=1e-15)
+    np.testing.assert_allclose(basis.matrix(np.eye(basis.size)), dense, atol=1e-15)
     x = np.array([[random_hermitian(gen, dim) for _ in range(7)] for _ in range(2)])
     for stack in (x[0], x):
         want = np.einsum("aij,...ij->...a", dense.conj(), stack).real
@@ -145,27 +164,6 @@ def test_stacked_coords_and_matrix_match_dense_basis(dim):
     y = x[0, 0] + 3.0 * np.eye(dim)
     np.testing.assert_allclose(basis.coords(y), basis.coords(project_traceless(y)), atol=1e-14)
     np.testing.assert_allclose(basis.matrix(basis.coords(y)), project_traceless(y), atol=1e-14)
-
-
-def test_report_paths_never_build_the_dense_basis(monkeypatch):
-    # the dense elements take O(d^4) memory; only tests may ask for them
-    built = []
-    real = TangentBasis.__post_init__
-
-    def recording(self):
-        real(self)
-        built.append(self)
-
-    monkeypatch.setattr(TangentBasis, "__post_init__", recording)
-    gen = rng_from_seed(16)
-    d = 4
-    error_disturbance_report(
-        random_state(gen, d), random_hermitian(gen, d), random_hermitian(gen, d),
-        random_instrument(gen, d, 3),
-    )
-    run_scenario(ScenarioConfig(name="oscillator", cutoffs=(8, 12)))
-    assert {b.dim for b in built} >= {4, 8, 12}
-    assert all("elements" not in b.__dict__ for b in built)
 
 
 def test_project_traceless(rng):

@@ -9,6 +9,7 @@ from urlab import (
     SLD_FUNCTION,
     CpInstrument,
     KrausChannel,
+    MonotoneFunction,
     Povm,
     QuantumState,
     StatisticalModel,
@@ -28,11 +29,41 @@ from urlab import (
 )
 from urlab.classical import Estimator
 from urlab.errors import InvalidOperandError
-from urlab.quantum import kraus_sum
+from urlab.quantum import _kraus_sum
 from urlab.randoms import random_complex, rng_from_seed
 from urlab.scenarios import luders_z_instrument, unsharp_z_povm
 
 from conftest import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, qubit_state
+
+
+_NAN2 = np.full((2, 2), np.nan)
+_HALF = np.eye(2) / 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: KrausChannel(kraus=(_NAN2,)),
+        lambda: KrausChannel(kraus=(np.full((2, 2), np.inf),)),
+        lambda: CpInstrument(outcomes=(0,), kraus_sets=((_NAN2,),)),
+        lambda: MonotoneFunction("nan", lambda x: np.full(np.shape(x), np.nan)),
+        lambda: MonotoneFunction("nan-off-1", lambda x: np.where(x == 1.0, 1.0, np.nan)),
+        lambda: expectation(_HALF, _NAN2),
+        lambda: expectation(_HALF, np.full((2, 2), np.inf)),
+        lambda: variance(_HALF, _NAN2),
+        lambda: variance(_HALF, np.full((2, 2), np.inf)),
+        lambda: grad_expectation(_HALF, np.full((2, 2), np.inf)),
+        lambda: mp_inverse(_NAN2),
+        lambda: mp_inverse(np.full((2, 2), np.inf)),
+    ],
+    ids=["nan-channel", "inf-channel", "nan-instrument", "nan-function", "nan-off-one",
+         "nan-expectation", "inf-expectation", "nan-variance", "inf-variance", "inf-gradient",
+         "nan-pinv", "inf-pinv"],
+)
+def test_non_finite_input_is_rejected_before_it_warns(build):
+    # NaN slipped through every `residue > tol` test; inf warned inside a matmul first
+    with pytest.raises(InvalidOperandError):
+        build()
 
 
 class TestQuantumState:
@@ -200,7 +231,7 @@ class TestKrausChannel:
         gen = rng_from_seed(rows * 10 + cols)
         kraus = random_complex(gen, (7, rows, cols))
         xs = random_complex(gen, (3, cols, cols))
-        out = kraus_sum(kraus, xs)
+        out = _kraus_sum(kraus, xs)
         assert out.shape == (3, rows, rows)
         for x, y in zip(xs, out):
             _assert_close_relative(y, sum(k @ x @ k.conj().T for k in kraus))
