@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all urlab modules, and their one integer rule."""
+"""Exception hierarchy shared by all urlab modules, and their integer and dimension rules."""
 
 import operator
 
@@ -33,3 +33,11 @@ def _as_int(value, name: str, error: type = UrlabError) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_dim(value, name: str = "dim") -> int:
+    """value as an integer dimension of at least 2, else InvalidDimensionError."""
+    dim = _as_int(value, name, InvalidDimensionError)
+    if dim < 2:
+        raise InvalidDimensionError(f"{name} must be >= 2, got {dim}")
+    return dim

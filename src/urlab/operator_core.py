@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidOperandError, SingularStateError, _as_int
+from .errors import InvalidDimensionError, InvalidOperandError, SingularStateError, _as_dim
 
 # Relative tolerance for hermiticity checks.
 HERM_RTOL = 1e-12
@@ -30,19 +30,21 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def is_hermitian(a: np.ndarray) -> bool:
     """Whether a matrix, or each matrix of a stack (..., d, d), is Hermitian.
 
-    Each is held to HERM_RTOL times its own max(|a|_max, 1), not the stack's.
+    Each is held to HERM_RTOL times its own max(|a|_max, 1), not the stack's, and
+    one with a NaN or inf entry, whose scale is then not finite, is not Hermitian.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.size:
         return False
     scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
-    return bool(np.all(np.abs(a - dagger(a)).max(axis=(-2, -1)) <= HERM_RTOL * scale))
+    finite = np.isfinite(scale).all()  # a - a^H is not formed for inf, where it would warn
+    return bool(finite and np.all(np.abs(a - dagger(a)).max(axis=(-2, -1)) <= HERM_RTOL * scale))
 
 
 def require_hermitian(a: np.ndarray, what: str = "operand") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or not is_hermitian(a):
-        raise InvalidOperandError(f"{what} is not Hermitian")
+        raise InvalidOperandError(f"{what} is not Hermitian or not finite")
     return a
 
 
@@ -90,9 +92,7 @@ class TangentBasis:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _as_int(self.dim, "dim", InvalidDimensionError))
-        if self.dim < 2:
-            raise InvalidDimensionError(f"dim must be >= 2, got {self.dim}")
+        object.__setattr__(self, "dim", _as_dim(self.dim))
         pairs, gell_mann = _index_maps(self.dim)
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_gell_mann", gell_mann)
@@ -212,9 +212,9 @@ def schur_positivity_report(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Schu
     a = require_hermitian(np.atleast_2d(a), "block A")
     c = require_hermitian(np.atleast_2d(c), "block C")
     b = np.atleast_2d(np.asarray(b, dtype=complex))
-    if b.shape != (a.shape[0], c.shape[0]):
+    if b.shape != (a.shape[0], c.shape[0]) or not np.isfinite(b).all():
         raise InvalidOperandError(
-            f"block B has shape {b.shape}, expected {(a.shape[0], c.shape[0])}"
+            f"block B must be a finite {(a.shape[0], c.shape[0])} matrix, got shape {b.shape}"
         )
     m = np.block([[a, b], [b.conj().T, c]])
     tol = 1e-9 * max(np.linalg.norm(m), 1.0)

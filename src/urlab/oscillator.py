@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidOperandError
+from .errors import InvalidOperandError, _as_dim
 from .quantum import KrausChannel, Povm, QuantumState, pvm_of_observable
 
 
 def annihilation(dim: int) -> np.ndarray:
-    if dim < 2:
-        raise InvalidDimensionError("need at least two Fock levels")
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, _as_dim(dim))), 1).astype(complex)
 
 
 def quadrature_q(dim: int) -> np.ndarray:
@@ -30,7 +28,7 @@ def thermal_state(dim: int, mean_photon: float) -> QuantumState:
     """Truncated thermal state, renormalized; its levels fall geometrically with n."""
     if not 0 < mean_photon < np.inf:
         raise InvalidOperandError("mean photon number must be positive and finite")
-    n = np.arange(dim)
+    n = np.arange(_as_dim(dim))
     lam = (mean_photon / (mean_photon + 1)) ** n / (mean_photon + 1)
     lam = lam / lam.sum()
     return QuantumState(base=np.diag(lam).astype(complex))
@@ -49,6 +47,7 @@ def number_dephasing_channel(dim: int, strength: float) -> KrausChannel:
     """
     if not 0.0 <= strength <= 1.0:
         raise InvalidOperandError("dephasing strength must be in [0, 1]")
+    dim = _as_dim(dim)
     kraus = np.zeros((dim + 1, dim, dim), dtype=complex)
     kraus[0] = np.sqrt(1.0 - strength) * np.eye(dim)
     n = np.arange(dim)

@@ -4,12 +4,14 @@ Observables and tangent directions are plain Hermitian numpy arrays; the
 structured objects (states, POVMs, channels, instruments) validate their
 defining constraints on construction and are immutable afterwards.  A state
 passed as a raw matrix becomes a QuantumState once per call, by one rule:
-Hermitian, unit trace, smallest eigenvalue at least -eigh_tol.  Operator
-families (effects, Kraus operators) are single complex (n, rows, cols) arrays,
-and an instrument keeps its total channel.  A POVM's effects pass the PSD test
-with one batched Cholesky factorization of E + tol I; only when that fails do
-their smallest eigenvalues decide and name the offending effect.  apply_channel
-and KrausChannel.adjoint each make two matrix products over the Kraus stack.
+finite (is_hermitian refuses NaN and inf), Hermitian, unit trace, smallest
+eigenvalue at least -eigh_tol.  Operator families (effects, Kraus operators)
+are single finite complex (n, rows, cols) arrays, by one rule, _operator_stack;
+an instrument's sets are stacked once, into its total channel.  A POVM's effects
+pass the PSD test with one batched Cholesky factorization of E + tol I; only when
+that fails do their smallest eigenvalues decide and name the offending effect.
+apply_channel and KrausChannel.adjoint each make two matrix products over the
+Kraus stack.
 """
 
 from __future__ import annotations
@@ -58,13 +60,13 @@ def _as_state(s) -> QuantumState:
 
 
 def _operator_stack(ops, what: str) -> np.ndarray:
-    """ops as one complex array of shape (n, rows, cols) with n >= 1."""
+    """ops as one finite complex array of shape (n, rows, cols) with n >= 1."""
     try:
         stack = np.asarray(ops, dtype=complex)
     except ValueError as exc:
         raise InvalidOperandError(f"{what} have inconsistent shapes") from exc
-    if stack.ndim != 3 or 0 in stack.shape:
-        raise InvalidOperandError(f"{what} must form a nonempty (n, rows, cols) stack")
+    if stack.ndim != 3 or 0 in stack.shape or not np.isfinite(stack).all():
+        raise InvalidOperandError(f"{what} must form a nonempty finite (n, rows, cols) stack")
     return stack
 
 
@@ -120,8 +122,6 @@ class KrausChannel:
         kraus = _operator_stack(self.kraus, "Kraus operators")
         # sum_k K^dagger K = I: the Kraus operators stacked vertically are an isometry
         v = kraus.reshape(-1, kraus.shape[2])
-        if not np.isfinite(v).all():
-            raise InvalidOperandError("Kraus operators are not finite")
         if np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() > 1e-10:
             raise InvalidOperandError("channel is not trace preserving")
         object.__setattr__(self, "kraus", kraus)
@@ -149,20 +149,24 @@ class KrausChannel:
 class CpInstrument:
     """Outcome-indexed Kraus sets whose total map, kept as channel, is trace preserving.
 
-    kraus_sets[x] is a view of channel's Kraus stack from index starts[x] on.
+    The sets are stacked once, and that stack is checked once, as channel's Kraus
+    operators; kraus_sets[x] is a view of it from index starts[x] on.
     """
 
     outcomes: tuple
     kraus_sets: tuple  # one (k_x, d', d) array of Kraus operators per outcome
 
     def __post_init__(self):
-        outcomes = tuple(self.outcomes)
-        sets = tuple(_operator_stack(ks, "Kraus operators") for ks in self.kraus_sets)
+        outcomes, sets = tuple(self.outcomes), tuple(self.kraus_sets)
         if len(outcomes) != len(sets) or not sets:
             raise InvalidOperandError("outcomes and kraus_sets length mismatch")
-        if len({ks.shape[1:] for ks in sets}) != 1:
-            raise InvalidOperandError("Kraus operators have inconsistent shapes")
-        channel = KrausChannel(kraus=np.concatenate(sets))  # checks trace preservation
+        try:  # a scalar, ragged or differently shaped set does not concatenate
+            stack = np.concatenate(sets)
+        except ValueError as exc:
+            raise InvalidOperandError("Kraus sets have inconsistent shapes") from exc
+        channel = KrausChannel(kraus=stack)  # a (k, d', d) stack, finite, trace preserving
+        if not all(len(ks) for ks in sets):
+            raise InvalidOperandError("a Kraus set is empty")
         bounds = np.cumsum([0] + [len(ks) for ks in sets]).tolist()
         views = tuple(channel.kraus[a:b] for a, b in zip(bounds, bounds[1:]))
         object.__setattr__(self, "outcomes", outcomes)

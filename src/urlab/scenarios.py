@@ -29,7 +29,7 @@ from .classical import (
     model_from_povm,
     monotonicity_check,
 )
-from .errors import UrlabError, _as_int
+from .errors import UrlabError, _as_dim, _as_int
 from .operator_core import (
     BOGOLIUBOV_FUNCTION,
     RLD_FUNCTION,
@@ -525,13 +525,11 @@ def run_verify(
 ) -> RunReport:
     """Run a randomized property suite and report per-property extremes."""
     trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
-    dim_max = _as_int(dim_max, "dim_max")
+    dim_max = _as_dim(dim_max, "dim_max")
     if trials < 1:
         raise UrlabError("trials must be >= 1")
     if seed < 0:
         raise UrlabError("seed must be nonnegative")
-    if dim_max < 2:
-        raise UrlabError("dim_max must be >= 2")
     names = sorted(_SUITES) if suite == "all" else [suite]
     if any(n not in _SUITES for n in names):
         raise UrlabError(f"unknown suite {suite!r}; use all|classical|quantum|uncertainty")

@@ -3,9 +3,11 @@
 The error of an observable under a measurement is the excess of the best
 locally-unbiased estimation bound (a, (J^M)^+ a) over the quantum fluctuation
 sigma^2(A); the disturbance is the analogous excess with the SLD Fisher
-operator of the channel-pushed family.  Infinite values arise when the
-expectation gradient leaves the range of the relevant Fisher operator; they
-are tagged, never fed into float arithmetic.
+operator of the channel-pushed family.  An observable A enters every error by
+one step, _observable: grad<A> in tangent coordinates and sigma^2(A), where
+quantum's operand rules refuse a non-finite or non-Hermitian A.  Infinite
+values arise when the expectation gradient leaves the range of the relevant
+Fisher operator; they are tagged, never fed into float arithmetic.
 """
 
 from __future__ import annotations
@@ -63,28 +65,22 @@ def _error_from_operator(j: FisherOperator, g: np.ndarray, var: float) -> ErrorR
     )
 
 
+def _observable(s: QuantumState, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The tangent coordinates of grad<A> and sigma^2(A)."""
+    return tangent_basis(s.dim).coords(grad_expectation(s, a)), variance(s, a)
+
+
 def measurement_error(s: QuantumState | np.ndarray, a: np.ndarray, m: Povm) -> ErrorResult:
     """epsilon(A; rho, M): estimation bound of <A> under M minus sigma^2(A)."""
     s = _as_state(s)
-    grad = tangent_basis(s.dim).coords(grad_expectation(s, a))
-    j = fisher_operator(model_from_povm(s, m))
-    return _error_from_operator(j, grad, variance(s, a))
-
-
-def _disturbance_and_fisher(
-    s: QuantumState, a: np.ndarray, e: KrausChannel
-) -> tuple[ErrorResult, FisherOperator, np.ndarray]:
-    """eta(A; rho, E) for A on E's input, the pushed SLD Fisher operator, grad<A> coordinates."""
-    if e.dim_in != s.dim:
-        raise InvalidOperandError("channel input dimension does not match the state")
-    grad = tangent_basis(s.dim).coords(grad_expectation(s, a))
-    j = quantum_fisher(s, SLD_FUNCTION, pushforward=e)
-    return _error_from_operator(j, grad, variance(s, a)), j, grad
+    return _error_from_operator(fisher_operator(model_from_povm(s, m)), *_observable(s, a))
 
 
 def disturbance(s: QuantumState | np.ndarray, a: np.ndarray, e: KrausChannel) -> ErrorResult:
     """eta(A; rho, E): increase of the SLD-optimal bound caused by the channel."""
-    return _disturbance_and_fisher(_as_state(s), a, e)[0]
+    s = _as_state(s)
+    j = quantum_fisher(s, SLD_FUNCTION, pushforward=e)  # refuses a channel on another space
+    return _error_from_operator(j, *_observable(s, a))
 
 
 def joint_povm(ins: CpInstrument, pvm: Povm) -> Povm:
@@ -166,13 +162,11 @@ def error_error_report(
 ) -> UncertaintyReport:
     """eps(A) eps(B) >= R^M(A,B)^2 + |<[A,B]>|^2 / 4 for a simultaneous POVM."""
     s = _as_state(s)
-    basis = tangent_basis(s.dim)
     j = fisher_operator(model_from_povm(s, m))
-    ga = basis.coords(grad_expectation(s, a))
-    gb = basis.coords(grad_expectation(s, b))
+    (ga, var_a), (gb, var_b) = _observable(s, a), _observable(s, b)
     return UncertaintyReport(
-        eps_a=_error_from_operator(j, ga, variance(s, a)),
-        eps_or_eta_b=_error_from_operator(j, gb, variance(s, b)),
+        eps_a=_error_from_operator(j, ga, var_a),
+        eps_or_eta_b=_error_from_operator(j, gb, var_b),
         r_term=_r_term(s, a, b, j, ga, gb),
         commutator_term=_commutator_term(s, a, b),
     )
@@ -225,23 +219,19 @@ def error_disturbance_report(
     quantum_fisher, not on a new state, so every CpInstrument has a witness.
     """
     s = _as_state(s)
-    basis = tangent_basis(s.dim)
     avg = average_channel(ins)
-    ga, var_a = basis.coords(grad_expectation(s, a)), variance(s, a)
+    (ga, var_a), (gb, var_b) = _observable(s, a), _observable(s, b)
     j_a = fisher_operator(model_from_povm(s, induced_povm(ins)))
-    eps_a = _error_from_operator(j_a, ga, var_a)
-    eta_b, j_s, gb = _disturbance_and_fisher(s, b, avg)
-    sigma, ex = avg(np.stack([s.rho, basis.matrix(j_s.solve(gb))]))
+    j_s = quantum_fisher(s, SLD_FUNCTION, pushforward=avg)
+    sigma, ex = avg(np.stack([s.rho, tangent_basis(s.dim).matrix(j_s.solve(gb))]))
     l = kf_superoperator(sigma, SLD_FUNCTION).apply_inverse(ex)
     joint = joint_povm(ins, pvm_of_observable((l + dagger(l)) / 2))
     j_joint = fisher_operator(model_from_povm(s, joint))
-    eps_a_joint = _error_from_operator(j_joint, ga, var_a)
-    eps_b_joint = _error_from_operator(j_joint, gb, eta_b.variance)
     return ErrorDisturbanceReport(
-        eps_a=eps_a,
-        eps_or_eta_b=eta_b,
+        eps_a=_error_from_operator(j_a, ga, var_a),
+        eps_or_eta_b=_error_from_operator(j_s, gb, var_b),
         r_term=_r_term(s, a, b, j_joint, ga, gb),
         commutator_term=_commutator_term(s, a, b),
-        eps_a_joint=eps_a_joint,
-        eps_b_joint=eps_b_joint,
+        eps_a_joint=_error_from_operator(j_joint, ga, var_a),
+        eps_b_joint=_error_from_operator(j_joint, gb, var_b),
     )

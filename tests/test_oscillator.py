@@ -14,7 +14,7 @@ from urlab import (
     quantum_fisher,
     variance,
 )
-from urlab.errors import InvalidOperandError, SingularStateError
+from urlab.errors import InvalidDimensionError, InvalidOperandError, SingularStateError
 from urlab.oscillator import (
     annihilation,
     homodyne_q_pvm,
@@ -62,6 +62,27 @@ def test_thermal_state_rejects_nonpositive_mean():
 def test_thermal_state_rejects_nonfinite_mean(mean_photon):
     with pytest.raises(InvalidOperandError, match="positive and finite"):
         thermal_state(8, mean_photon)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: thermal_state(2.5, 1.0),
+        lambda: annihilation(2.5),
+        lambda: quadrature_q(2.5),
+        lambda: homodyne_q_pvm(2.5),
+        lambda: number_dephasing_channel(2.5, 0.3),
+        lambda: thermal_state(0, 1.0),
+        lambda: number_dephasing_channel(1, 0.3),
+    ],
+    ids=["thermal-2.5", "annihilation-2.5", "quadrature-2.5", "homodyne-2.5", "dephasing-2.5",
+         "thermal-0", "dephasing-1"],
+)
+def test_builders_take_an_integer_number_of_levels_of_at_least_two(build):
+    # 2.5 built 3-level operators, the dephasing channel raised a raw TypeError,
+    # and a 0-level thermal state was refused as "not Hermitian"
+    with pytest.raises(InvalidDimensionError):
+        build()
 
 
 def test_homodyne_pvm_is_projective_and_complete():

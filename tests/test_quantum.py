@@ -24,19 +24,22 @@ from urlab import (
     measurement_error,
     mp_inverse,
     pvm_of_observable,
+    schur_positivity_report,
     sym_correlation,
     variance,
 )
 from urlab.classical import Estimator
 from urlab.errors import InvalidOperandError
+import urlab.quantum
 from urlab.quantum import _kraus_sum
-from urlab.randoms import random_complex, rng_from_seed
+from urlab.randoms import random_channel, random_complex, rng_from_seed
 from urlab.scenarios import luders_z_instrument, unsharp_z_povm
 
 from conftest import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, qubit_state
 
 
 _NAN2 = np.full((2, 2), np.nan)
+_INF2 = np.full((2, 2), np.inf)
 _HALF = np.eye(2) / 2
 
 
@@ -55,15 +58,30 @@ _HALF = np.eye(2) / 2
         lambda: grad_expectation(_HALF, np.full((2, 2), np.inf)),
         lambda: mp_inverse(_NAN2),
         lambda: mp_inverse(np.full((2, 2), np.inf)),
+        lambda: QuantumState(base=_INF2),
+        lambda: QuantumState(base=_NAN2),
+        lambda: pvm_of_observable(_INF2),
+        lambda: Povm(outcomes=(0,), effects=(_INF2,)),
+        lambda: schur_positivity_report(_INF2, IDENTITY2, IDENTITY2),
+        lambda: schur_positivity_report(IDENTITY2, _NAN2, IDENTITY2),
+        lambda: schur_positivity_report(IDENTITY2, _INF2, IDENTITY2),
     ],
     ids=["nan-channel", "inf-channel", "nan-instrument", "nan-function", "nan-off-one",
          "nan-expectation", "inf-expectation", "nan-variance", "inf-variance", "inf-gradient",
-         "nan-pinv", "inf-pinv"],
+         "nan-pinv", "inf-pinv", "inf-state", "nan-state", "inf-observable", "inf-effect",
+         "inf-schur-a", "nan-schur-b", "inf-schur-b"],
 )
 def test_non_finite_input_is_rejected_before_it_warns(build):
-    # NaN slipped through every `residue > tol` test; inf warned inside a matmul first
+    # NaN slipped through every `residue > tol` test; inf warned inside a matmul or
+    # in a - a^H first, and a non-finite Schur block B stopped eigvalsh from converging
     with pytest.raises(InvalidOperandError):
         build()
+
+
+def test_non_finite_matrix_is_not_hermitian_and_does_not_warn():
+    # pytest turns the RuntimeWarning of inf - inf into an error
+    assert not is_hermitian(_INF2)
+    assert not is_hermitian(np.array([IDENTITY2, _NAN2]))
 
 
 class TestQuantumState:
@@ -336,12 +354,30 @@ def test_induced_povm_and_average_channel():
         lambda: Povm(outcomes=(), effects=()),
         lambda: KrausChannel(kraus=(np.ones(2),)),
         lambda: CpInstrument(outcomes=(0, 1), kraus_sets=((), (np.eye(2),))),
+        lambda: CpInstrument(outcomes=(0, 1), kraus_sets=(1.0, (np.eye(2),))),
+        lambda: CpInstrument(outcomes=(0, 1), kraus_sets=((np.eye(3),), (np.eye(2),))),
+        lambda: CpInstrument(outcomes=(0, 1), kraus_sets=((np.eye(2), np.eye(3)), (np.eye(2),))),
+        lambda: CpInstrument(outcomes=(0, 1), kraus_sets=(np.zeros((0, 2, 2)), (np.eye(2),))),
+        lambda: CpInstrument(outcomes=(0, 1), kraus_sets=((_NAN2,), (np.eye(2),))),
     ],
-    ids=["povm-without-effects", "vector-kraus-operator", "empty-kraus-set"],
+    ids=["povm-without-effects", "vector-kraus-operator", "empty-kraus-set", "scalar-kraus-set",
+         "other-shape-kraus-set", "ragged-kraus-set", "explicit-empty-kraus-set", "nan-kraus-set"],
 )
 def test_malformed_operator_family_is_invalid_operand(build):
     with pytest.raises(InvalidOperandError):
         build()
+
+
+def test_instrument_admits_its_sets_as_one_stack(monkeypatch):
+    # one single-operator set per outcome, as random_instrument passes them, used to
+    # make one admission per set and one more for their concatenation
+    sets = tuple(random_channel(rng_from_seed(4), 8, 65).kraus[:, None])
+    calls = []
+    real = urlab.quantum._operator_stack
+    monkeypatch.setattr(urlab.quantum, "_operator_stack", lambda *a: calls.append(a) or real(*a))
+    ins = CpInstrument(outcomes=tuple(range(65)), kraus_sets=sets)
+    assert len(calls) == 1
+    assert ins.starts == tuple(range(65))
 
 
 def test_instrument_requires_trace_preserving_total():

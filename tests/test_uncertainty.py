@@ -132,6 +132,12 @@ def test_disturbance_of_a_channel_into_a_larger_space(d, strength):
     assert rep.domination_a and rep.domination_b and rep.holds
 
 
+def test_disturbance_refuses_a_channel_on_another_space():
+    # quantum_fisher's channel application is the one dimension check
+    with pytest.raises(InvalidOperandError, match="channel input"):
+        disturbance(IDENTITY2 / 2, SIGMA_Z, KrausChannel(kraus=(np.eye(3),)))
+
+
 def test_identity_channel_no_disturbance():
     res = disturbance(qubit_state(rx=0.4), SIGMA_Y, KrausChannel(kraus=(np.eye(2),)))
     assert abs(res.value) <= 1e-10
