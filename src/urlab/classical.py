@@ -281,6 +281,8 @@ def locally_unbiased_estimator(
     a = np.asarray(a, dtype=float)
     if a.shape != mod.scores.shape[1:]:
         raise InvalidOperandError(f"direction has shape {a.shape}, not {mod.scores.shape[1:]}")
+    if not np.isfinite(target_value):
+        raise InvalidOperandError(f"target value {target_value} is not finite")
     j = fisher_operator(mod)
     if not j.in_range(a):
         raise NoUnbiasedEstimatorError(
@@ -312,6 +314,8 @@ def monte_carlo_variance(
     values = np.asarray(values, dtype=float)
     if values.shape != mod.probs.shape:
         raise InvalidOperandError(f"values have shape {values.shape}, not {mod.probs.shape}")
+    if not np.isfinite(values).all():
+        raise InvalidOperandError("values are not finite")
     rng = np.random.Generator(np.random.Philox(seed))
     idx = rng.choice(mod.n_outcomes, size=n, p=mod.probs)
     draws = values[idx]

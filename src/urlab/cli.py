@@ -9,22 +9,32 @@ from dataclasses import fields
 import click
 
 from .errors import UrlabError
-from .report import RunReport, emit
+from .report import emit
 from .scenarios import ScenarioConfig, run_scenario, run_verify, scenario_names
 
 
-def _finish(report: RunReport, out: str | None, fmt: str) -> None:
-    for row in report.rows:
-        click.echo(
-            f"{report.scenario:>24s}  {row.quantity:<32s} "
-            f"value={row.value:.6g} bound={row.bound:.6g} [{row.status}]"
-        )
-    if out:
-        try:
+def _report_options(command):
+    """The --out and --format options shared by every command that writes a report."""
+    command = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                           default="csv", show_default=True)(command)
+    return click.option("--out", type=click.Path(),
+                        help="Write the report to this path.")(command)
+
+
+def _finish(build, out: str | None, fmt: str) -> None:
+    """Build the report, print its rows and write it; a UrlabError becomes a ClickException."""
+    try:
+        report = build()
+        for row in report.rows:
+            click.echo(
+                f"{report.scenario:>24s}  {row.quantity:<32s} "
+                f"value={row.value:.6g} bound={row.bound:.6g} [{row.status}]"
+            )
+        if out:
             emit(report, fmt, out)
-        except UrlabError as exc:
-            raise click.ClickException(str(exc)) from exc
-        click.echo(f"wrote {fmt} report to {out}")
+            click.echo(f"wrote {fmt} report to {out}")
+    except UrlabError as exc:
+        raise click.ClickException(str(exc)) from exc
     if not report.all_pass:
         sys.exit(1)
 
@@ -69,9 +79,7 @@ def main():
 @click.option("--param", "params", multiple=True, help="Scenario parameter, key=value.")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
               help="JSON ScenarioConfig file.")
-@click.option("--out", type=click.Path(), help="Write the report to this path.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
+@_report_options
 def scenario(name, seed, params, config, out, fmt):
     """Run a named scenario (see `urlab scenario list`)."""
     if name == "list":
@@ -79,13 +87,12 @@ def scenario(name, seed, params, config, out, fmt):
             click.echo(n)
         return
     kwargs = {"name": name, "seed": seed, "params": _parse_params(params)}
-    try:
-        if config:
-            kwargs = _merge_config(config, kwargs)
-        report = run_scenario(ScenarioConfig(**kwargs))
-    except UrlabError as exc:
-        raise click.ClickException(str(exc)) from exc
-    _finish(report, out, fmt)
+
+    def build():
+        merged = _merge_config(config, kwargs) if config else kwargs
+        return run_scenario(ScenarioConfig(**merged))
+
+    _finish(build, out, fmt)
 
 
 @main.command()
@@ -94,16 +101,10 @@ def scenario(name, seed, params, config, out, fmt):
 @click.option("--trials", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--dim-max", type=int, default=5, show_default=True)
-@click.option("--out", type=click.Path(), help="Write the report to this path.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
+@_report_options
 def verify(suite, trials, seed, dim_max, out, fmt):
     """Run the randomized property suites."""
-    try:
-        report = run_verify(suite, trials=trials, seed=seed, dim_max=dim_max)
-    except UrlabError as exc:
-        raise click.ClickException(str(exc)) from exc
-    _finish(report, out, fmt)
+    _finish(lambda: run_verify(suite, trials=trials, seed=seed, dim_max=dim_max), out, fmt)
 
 
 @main.command()
@@ -112,9 +113,7 @@ def verify(suite, trials, seed, dim_max, out, fmt):
               help="Comma-separated truncation dimensions.")
 @click.option("--mean-photon", type=float, default=1.0, show_default=True)
 @click.option("--dephasing", type=float, default=0.3, show_default=True)
-@click.option("--out", type=click.Path(), help="Write the report to this path.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
+@_report_options
 def sweep(target, cutoffs, mean_photon, dephasing, out, fmt):
     """Truncation-convergence sweep for the oscillator scenario."""
     try:
@@ -123,14 +122,8 @@ def sweep(target, cutoffs, mean_photon, dephasing, out, fmt):
         raise click.UsageError(f"bad --cutoffs {cutoffs!r}") from exc
     if not cut:
         raise click.UsageError("--cutoffs lists no truncation dimension")
-    try:
-        cfg = ScenarioConfig(
-            name=target, params={"mean_photon": mean_photon, "dephasing": dephasing}, cutoffs=cut
-        )
-        report = run_scenario(cfg)
-    except UrlabError as exc:
-        raise click.ClickException(str(exc)) from exc
-    _finish(report, out, fmt)
+    params = {"mean_photon": mean_photon, "dephasing": dephasing}
+    _finish(lambda: run_scenario(ScenarioConfig(target, params=params, cutoffs=cut)), out, fmt)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import FisherOperator, _deflate, fisher_operator, model_from_povm
-from .errors import InvalidOperandError
 from .operator_core import (
     MonotoneFunction,
     RLD_FUNCTION,
@@ -44,11 +43,7 @@ def log_derivative(
     For the SLD function this solves (rho L + L rho) / 2 = phi and is
     Hermitian; for the RLD function it equals rho^{-1} phi.
     """
-    rho = _as_state(s).rho
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != rho.shape:
-        raise InvalidOperandError("direction dimension mismatch")
-    return kf_superoperator(rho, f).apply_inverse(phi)
+    return kf_superoperator(_as_state(s).rho, f).apply_inverse(phi)
 
 
 def quantum_fisher(
@@ -135,5 +130,10 @@ def sld_optimal_pvm(s: QuantumState | np.ndarray, phi: np.ndarray) -> Povm:
     solved from a near-singular Fisher operator) carries a rounding residue
     that would fail the Hermiticity check.
     """
-    l = log_derivative(s, phi, SLD_FUNCTION)
+    return _sld_pvm(_as_state(s).rho, phi)
+
+
+def _sld_pvm(rho: np.ndarray, phi: np.ndarray) -> Povm:
+    """sld_optimal_pvm on a positive definite rho that need not have trace 1, e.g. E(rho)."""
+    l = kf_superoperator(rho, SLD_FUNCTION).apply_inverse(phi)
     return pvm_of_observable((l + l.conj().T) / 2)

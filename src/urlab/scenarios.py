@@ -4,13 +4,15 @@ Each scenario or suite produces a RunReport with one row per checked identity
 or inequality; a report passes when no row fails.
 
 Every randomized check (the classical, quantum and uncertainty suites and the
-qubit-unsharp and qutrit-random scenarios) is one trial function plus one
-table.  The trial function trial(rng, dim_max, t) draws the inputs of trial t
-from rng and returns {quantity: value}; the table lists (quantity, kind,
-bound, atol).  _extremes reduces the trials to one row per table entry by
-kind: "le" keeps the largest value (0.0 if no trial reports it), "ge" the
-smallest (inf), and "flag" requires every value to be true.  A trial leaves a
-quantity out where it is undefined, e.g. an infinite error.
+qubit-unsharp and qutrit-random scenarios) is a list of trials plus one
+table.  A suite's trial function trial(rng, dims, t) draws the inputs of
+trial t from rng, at a dimension from the range dims, and returns
+{quantity: value}; the table lists (quantity, kind, bound, atol).  run_verify
+passes range(2, dim_max + 1), and qutrit-random runs the quantum suite's trial
+and table at range(3, 4).  _extremes reduces the trials to one row per table
+entry by kind: "le" keeps the largest value (0.0 if no trial reports it), "ge"
+the smallest (inf), and "flag" requires every value to be true.  A trial
+leaves a quantity out where it is undefined, e.g. an infinite error.
 """
 
 from __future__ import annotations
@@ -91,16 +93,14 @@ def unsharp_z_povm(eta: float) -> Povm:
 
 
 def unsharp_z_instrument(eta: float) -> CpInstrument:
-    """Instrument with Kraus operators sqrt((I +- eta sigma_z) / 2)."""
-    kp = np.diag(np.sqrt(np.array([(1 + eta) / 2, (1 - eta) / 2])))
-    km = np.diag(np.sqrt(np.array([(1 - eta) / 2, (1 + eta) / 2])))
-    return CpInstrument(outcomes=("+", "-"), kraus_sets=((kp,), (km,)))
+    """Instrument with the diagonal Kraus operators sqrt((I +- eta sigma_z) / 2), entrywise."""
+    povm = unsharp_z_povm(eta)
+    kraus_sets = tuple((np.sqrt(e),) for e in povm.effects)
+    return CpInstrument(outcomes=povm.outcomes, kraus_sets=kraus_sets)
 
 
 def luders_z_instrument() -> CpInstrument:
-    pp = np.diag([1.0, 0.0]).astype(complex)
-    pm = np.diag([0.0, 1.0]).astype(complex)
-    return CpInstrument(outcomes=("+", "-"), kraus_sets=((pp,), (pm,)))
+    return unsharp_z_instrument(1.0)
 
 
 def depolarizing_channel(p: float) -> KrausChannel:
@@ -193,17 +193,13 @@ def _scenario_qubit_unsharp(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
     if not -1 <= r <= 1:
         raise UrlabError(f"r must be in [-1, 1], got {r}")
     rho = (IDENTITY2 + r * SIGMA_Z) / 2
-
-    def trial(rng, dim_max: int, t: int) -> dict:
-        a = random_hermitian(rng, dim_max)
-        b = random_hermitian(rng, dim_max)
-        rep = error_error_report(rho, a, b, random_povm(rng, dim_max, 4))
-        return {"error_error_gap_min": rep.margin}
-
-    rows += _extremes(
-        [trial(rng, 2, t) for t in range(_trials(cfg, 50))],
-        (("error_error_gap_min", "ge", 0.0, 0.0),),
-    )
+    trials = [
+        {"error_error_gap_min": error_error_report(
+            rho, random_hermitian(rng, 2), random_hermitian(rng, 2), random_povm(rng, 2, 4)
+        ).margin}
+        for _ in range(_trials(cfg, 50))
+    ]
+    rows += _extremes(trials, (("error_error_gap_min", "ge", 0.0, 0.0),))
     return rows, [2]
 
 
@@ -240,37 +236,10 @@ def _scenario_qubit_instrument(cfg: ScenarioConfig) -> tuple[list[Row], list[int
     return rows, [2]
 
 
-def _qutrit_trial(rng, dim_max: int, t: int) -> dict:
-    """One qutrit-random trial; the scenario passes its fixed dimension 3 as dim_max."""
-    basis = tangent_basis(dim_max)
-    s = random_state(rng, dim_max)
-    m = random_povm(rng, dim_max, rng.integers(3, 7))
-    ch = random_channel(rng, dim_max, 3)
-    a = random_hermitian(rng, dim_max)
-    b = random_hermitian(rng, dim_max)
-    cr = quantum_cr_check(s, m)
-    js = cr.sld
-    js_pushed = quantum_fisher(s, SLD_FUNCTION, pushforward=ch)
-    gb = basis.coords(grad_expectation(s, b))
-    ga = basis.coords(grad_expectation(s, a))
-    return {
-        "quantum_cramer_rao": cr.holds,
-        "sld_monotonicity_min_gap": _loewner_gap(js.matrix, js_pushed.matrix),
-        "correlation_identity_max_err": abs(sym_correlation(s, a, b) - js.quad(gb, ga)),
-    }
-
-
-_QUTRIT_TABLE = (
-    ("quantum_cramer_rao", "flag", 0.0, 0.0),
-    ("sld_monotonicity_min_gap", "ge", 0.0, 1e-8),
-    ("correlation_identity_max_err", "le", 1e-8, 0.0),
-)
-
-
 def _scenario_qutrit_random(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
-    rng = rng_from_seed(cfg.seed)
-    trials = [_qutrit_trial(rng, 3, t) for t in range(_trials(cfg, 25))]
-    return _extremes(trials, _QUTRIT_TABLE), [3]
+    rng, dims = rng_from_seed(cfg.seed), range(3, 4)
+    trials = [_quantum_trial(rng, dims, t) for t in range(_trials(cfg, 25))]
+    return _extremes(trials, _QUANTUM_TABLE), list(dims)
 
 
 def _scenario_oscillator(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
@@ -338,9 +307,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 # randomized verification suites
 
 
-def _classical_trial(rng, dim_max: int, t: int) -> dict:
+def _classical_trial(rng, dims: range, t: int) -> dict:
     n_out = int(rng.integers(2, 9))
-    n_par = int(rng.integers(1, min(15, dim_max * dim_max)))
+    n_par = int(rng.integers(1, min(15, dims[-1] ** 2)))
     mod = random_model(rng, n_out, n_par)
     j = fisher_operator(mod)
     norm = max(np.linalg.norm(j.matrix), 1.0)
@@ -362,7 +331,7 @@ def _classical_trial(rng, dim_max: int, t: int) -> dict:
     kern = random_kernel(rng, int(rng.integers(1, n_out + 2)), n_out)
     grad = (w * rng.normal(size=n_out)) @ mod.scores
 
-    d = int(rng.integers(2, dim_max + 1))
+    d = int(rng.integers(dims.start, dims.stop))
     rank = int(rng.integers(1, d + 1))
     g2 = random_complex(rng, (d, rank))
     s = g2 @ g2.conj().T
@@ -401,8 +370,8 @@ _CLASSICAL_TABLE = (
 _FUNCTIONS = (SLD_FUNCTION, RLD_FUNCTION, BOGOLIUBOV_FUNCTION)
 
 
-def _quantum_trial(rng, dim_max: int, t: int) -> dict:
-    d = int(rng.integers(2, dim_max + 1))
+def _quantum_trial(rng, dims: range, t: int) -> dict:
+    d = int(rng.integers(dims.start, dims.stop))
     basis = tangent_basis(d)
     s = random_state(rng, d)
     phi = basis.matrix(rng.normal(size=basis.size))
@@ -451,8 +420,8 @@ _QUANTUM_TABLE = (
 )
 
 
-def _uncertainty_trial(rng, dim_max: int, t: int) -> dict:
-    d = int(rng.integers(2, min(dim_max, 4) + 1))
+def _uncertainty_trial(rng, dims: range, t: int) -> dict:
+    d = int(rng.integers(dims.start, min(dims.stop, 5)))
     basis = tangent_basis(d)
     s = random_state(rng, d)
     a = random_hermitian(rng, d)
@@ -533,15 +502,13 @@ def run_verify(
     names = sorted(_SUITES) if suite == "all" else [suite]
     if any(n not in _SUITES for n in names):
         raise UrlabError(f"unknown suite {suite!r}; use all|classical|quantum|uncertainty")
-    started = time.time()
+    started, dims = time.time(), range(2, dim_max + 1)
     rows = []
     for name in names:
         rng = rng_from_seed(seed + 7919 * (sorted(_SUITES).index(name) + 1))
         trial, table = _SUITES[name]
-        for row in _extremes([trial(rng, dim_max, t) for t in range(trials)], table):
+        for row in _extremes([trial(rng, dims, t) for t in range(trials)], table):
             rows.append(Row(f"{name}.{row.quantity}", row.value, row.bound, row.status))
     return RunReport(
-        scenario=f"verify-{suite}",
-        rows=rows,
-        metadata=new_metadata(seed, range(2, dim_max + 1), started),
+        scenario=f"verify-{suite}", rows=rows, metadata=new_metadata(seed, dims, started)
     )

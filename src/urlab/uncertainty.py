@@ -5,9 +5,11 @@ locally-unbiased estimation bound (a, (J^M)^+ a) over the quantum fluctuation
 sigma^2(A); the disturbance is the analogous excess with the SLD Fisher
 operator of the channel-pushed family.  An observable A enters every error by
 one step, _observable: grad<A> in tangent coordinates and sigma^2(A), where
-quantum's operand rules refuse a non-finite or non-Hermitian A.  Infinite
-values arise when the expectation gradient leaves the range of the relevant
-Fisher operator; they are tagged, never fed into float arithmetic.
+quantum's operand rules refuse a non-finite or non-Hermitian A.  Both
+reports then take the two right-hand-side terms, R and |<[A, B]>|^2 / 4, from
+one correlation C(A, B), by _rhs_terms.  Infinite values arise when the
+expectation gradient leaves the range of the relevant Fisher operator; they
+are tagged, never fed into float arithmetic.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .classical import FisherOperator, fisher_operator, model_from_povm
 from .errors import InvalidOperandError
-from .operator_core import SLD_FUNCTION, dagger, kf_superoperator, tangent_basis
-from .qfisher import quantum_fisher
+from .operator_core import SLD_FUNCTION, dagger, tangent_basis
+from .qfisher import _sld_pvm, quantum_fisher
 from .quantum import (
     CpInstrument,
     KrausChannel,
@@ -28,10 +30,9 @@ from .quantum import (
     QuantumState,
     _as_state,
     average_channel,
+    correlation,
     grad_expectation,
     induced_povm,
-    pvm_of_observable,
-    sym_correlation,
     variance,
 )
 
@@ -147,14 +148,15 @@ class UncertaintyReport:
         return self.margin >= 0
 
 
-def _r_term(s, a, b, j, ga, gb) -> float:
-    """R^M(A, B) = (grad<A>, (J^M)^+ grad<B>) - C^S(A, B), from the gradient coordinates."""
-    return j.quad(ga, gb) - sym_correlation(s, a, b)
+def _rhs_terms(s, a, b, j, ga, gb) -> dict:
+    """r_term and commutator_term of the bound, from one correlation C(A, B).
 
-
-def _commutator_term(s, a, b) -> float:
-    comm = a @ b - b @ a
-    return 0.25 * abs(complex(np.trace(s.rho @ comm))) ** 2
+    For Hermitian A and B, Re C(A, B) is the symmetrized correlation C^S(A, B)
+    and <[A, B]> = 2i Im C(A, B), so R^M(A, B) = (grad<A>, (J^M)^+ grad<B>) -
+    Re C and |<[A, B]>|^2 / 4 = (Im C)^2.
+    """
+    c = correlation(s, a, b)
+    return {"r_term": j.quad(ga, gb) - c.real, "commutator_term": c.imag**2}
 
 
 def error_error_report(
@@ -167,8 +169,7 @@ def error_error_report(
     return UncertaintyReport(
         eps_a=_error_from_operator(j, ga, var_a),
         eps_or_eta_b=_error_from_operator(j, gb, var_b),
-        r_term=_r_term(s, a, b, j, ga, gb),
-        commutator_term=_commutator_term(s, a, b),
+        **_rhs_terms(s, a, b, j, ga, gb),
     )
 
 
@@ -219,19 +220,19 @@ def error_disturbance_report(
     quantum_fisher, not on a new state, so every CpInstrument has a witness.
     """
     s = _as_state(s)
+    if ins.dim != s.dim:
+        raise InvalidOperandError("state and instrument dimension mismatch")
     avg = average_channel(ins)
     (ga, var_a), (gb, var_b) = _observable(s, a), _observable(s, b)
     j_a = fisher_operator(model_from_povm(s, induced_povm(ins)))
     j_s = quantum_fisher(s, SLD_FUNCTION, pushforward=avg)
     sigma, ex = avg(np.stack([s.rho, tangent_basis(s.dim).matrix(j_s.solve(gb))]))
-    l = kf_superoperator(sigma, SLD_FUNCTION).apply_inverse(ex)
-    joint = joint_povm(ins, pvm_of_observable((l + dagger(l)) / 2))
+    joint = joint_povm(ins, _sld_pvm(sigma, ex))
     j_joint = fisher_operator(model_from_povm(s, joint))
     return ErrorDisturbanceReport(
         eps_a=_error_from_operator(j_a, ga, var_a),
         eps_or_eta_b=_error_from_operator(j_s, gb, var_b),
-        r_term=_r_term(s, a, b, j_joint, ga, gb),
-        commutator_term=_commutator_term(s, a, b),
+        **_rhs_terms(s, a, b, j_joint, ga, gb),
         eps_a_joint=_error_from_operator(j_joint, ga, var_a),
         eps_b_joint=_error_from_operator(j_joint, gb, var_b),
     )

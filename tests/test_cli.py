@@ -14,6 +14,7 @@ from urlab.cli import main
 from urlab.errors import UrlabError
 from urlab.operator_core import SLD_FUNCTION
 from urlab.qfisher import quantum_fisher
+from urlab.randoms import random_state
 from urlab.report import (
     CSV_COLUMNS,
     Row,
@@ -190,6 +191,23 @@ class TestScenarioCommand:
         res = runner.invoke(main, ["scenario", "nonesuch"])
         assert res.exit_code != 0
         assert "unknown scenario" in res.output
+
+    def test_qutrit_random_runs_the_quantum_trial_at_dimension_3(self, monkeypatch):
+        drawn = []
+
+        def recording(rng, d):
+            drawn.append(d)
+            return random_state(rng, d)
+
+        monkeypatch.setattr(scenarios, "random_state", recording)
+        rep = scenarios.run_scenario(scenarios.ScenarioConfig("qutrit-random"))
+        assert rep.metadata["dims"] == [3]
+        assert [r.quantity for r in rep.rows] == [q[0] for q in scenarios._QUANTUM_TABLE]
+        assert drawn == [3] * 25
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_qutrit_random_passes(self, seed):
+        assert scenarios.run_scenario(scenarios.ScenarioConfig("qutrit-random", seed=seed)).all_pass
 
     def test_json_determinism(self, runner, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

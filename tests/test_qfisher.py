@@ -22,6 +22,7 @@ from urlab import (
     tangent_basis,
     variance,
 )
+from urlab.errors import InvalidOperandError
 from urlab.randoms import (
     random_channel,
     random_hermitian,
@@ -220,6 +221,12 @@ def test_sld_optimal_pvm_attains_fisher_form(rng):
     js = quantum_fisher(s, SLD_FUNCTION).matrix
     c = basis.coords(phi)
     assert c @ jm @ c == pytest.approx(c @ js @ c, rel=1e-10)
+
+
+@pytest.mark.parametrize("solve", [log_derivative, sld_optimal_pvm])
+def test_wrong_shape_direction_is_refused(solve):
+    with pytest.raises(InvalidOperandError):
+        solve(qubit_state(rx=0.3), np.eye(3))
 
 
 def test_sld_optimal_pvm_tolerates_rounding_in_large_direction():

@@ -28,12 +28,12 @@ from urlab import (
     sym_correlation,
     variance,
 )
-from urlab.classical import Estimator
+from urlab.classical import Estimator, locally_unbiased_estimator, monte_carlo_variance
 from urlab.errors import InvalidOperandError
 import urlab.quantum
 from urlab.quantum import _kraus_sum
 from urlab.randoms import random_channel, random_complex, rng_from_seed
-from urlab.scenarios import luders_z_instrument, unsharp_z_povm
+from urlab.scenarios import luders_z_instrument, unsharp_z_instrument, unsharp_z_povm
 
 from conftest import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, qubit_state
 
@@ -41,6 +41,8 @@ from conftest import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, qubit_state
 _NAN2 = np.full((2, 2), np.nan)
 _INF2 = np.full((2, 2), np.inf)
 _HALF = np.eye(2) / 2
+_MODEL = StatisticalModel(outcomes=(0, 1), probs=np.array([0.5, 0.5]),
+                          scores=np.array([[1.0], [-1.0]]))
 
 
 @pytest.mark.parametrize(
@@ -65,11 +67,13 @@ _HALF = np.eye(2) / 2
         lambda: schur_positivity_report(_INF2, IDENTITY2, IDENTITY2),
         lambda: schur_positivity_report(IDENTITY2, _NAN2, IDENTITY2),
         lambda: schur_positivity_report(IDENTITY2, _INF2, IDENTITY2),
+        lambda: locally_unbiased_estimator(_MODEL, np.ones(1), target_value=np.nan),
+        lambda: monte_carlo_variance(_MODEL, np.array([np.nan, 1.0]), n=1000, seed=0),
     ],
     ids=["nan-channel", "inf-channel", "nan-instrument", "nan-function", "nan-off-one",
          "nan-expectation", "inf-expectation", "nan-variance", "inf-variance", "inf-gradient",
          "nan-pinv", "inf-pinv", "inf-state", "nan-state", "inf-observable", "inf-effect",
-         "inf-schur-a", "nan-schur-b", "inf-schur-b"],
+         "inf-schur-a", "nan-schur-b", "inf-schur-b", "nan-target", "nan-mc-values"],
 )
 def test_non_finite_input_is_rejected_before_it_warns(build):
     # NaN slipped through every `residue > tol` test; inf warned inside a matmul or
@@ -285,6 +289,21 @@ def test_grad_expectation_is_traceless_projection(rng):
     g = grad_expectation(rho, a)
     assert abs(np.trace(g)) < 1e-12
     np.testing.assert_allclose(g, a - np.trace(a) / 2 * np.eye(2), atol=1e-12)
+
+
+class TestUnsharpZInstrument:
+    def test_eta_one_gives_the_luders_projectors(self):
+        for ins in (unsharp_z_instrument(1.0), luders_z_instrument()):
+            np.testing.assert_array_equal(
+                ins.channel.kraus, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+            )
+
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 0.8, 1.0])
+    def test_induced_povm_is_the_unsharp_povm(self, eta):
+        np.testing.assert_allclose(
+            induced_povm(unsharp_z_instrument(eta)).effects, unsharp_z_povm(eta).effects,
+            rtol=0, atol=1e-15,
+        )
 
 
 class TestPvmOfObservable:

@@ -15,14 +15,17 @@ from urlab import (
     error_disturbance_report,
     error_error_report,
     fisher_operator,
+    grad_expectation,
     induced_povm,
     joint_povm,
     measurement_error,
     model_from_povm,
     pvm_of_observable,
+    sym_correlation,
     tangent_basis,
     variance,
 )
+from urlab import uncertainty
 from urlab.errors import InvalidOperandError, SingularStateError
 from urlab.randoms import (
     random_channel,
@@ -136,6 +139,42 @@ def test_disturbance_refuses_a_channel_on_another_space():
     # quantum_fisher's channel application is the one dimension check
     with pytest.raises(InvalidOperandError, match="channel input"):
         disturbance(IDENTITY2 / 2, SIGMA_Z, KrausChannel(kraus=(np.eye(3),)))
+
+
+def test_error_disturbance_refuses_an_instrument_on_another_space():
+    qutrit = random_state(rng_from_seed(0), 3)
+    with pytest.raises(InvalidOperandError, match="state and instrument dimension mismatch"):
+        error_disturbance_report(qutrit, np.eye(3), np.eye(3), unsharp_z_instrument(0.5))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_rhs_terms_match_their_definitions(d, monkeypatch):
+    # r_term = (grad<A>, (J^M)^+ grad<B>) - C^S(A, B) and commutator_term =
+    # |Tr rho [A, B]|^2 / 4, with M the simultaneous POVM or the witness
+    witnesses = []
+
+    def recording(ins, pvm):
+        witnesses.append(joint_povm(ins, pvm))
+        return witnesses[-1]
+
+    monkeypatch.setattr(uncertainty, "joint_povm", recording)
+    rng = rng_from_seed(10 + d)
+    basis = tangent_basis(d)
+    for _ in range(5):
+        s = random_state(rng, d)
+        a, b = random_hermitian(rng, d), random_hermitian(rng, d)
+        ga, gb = (basis.coords(grad_expectation(s, x)) for x in (a, b))
+        m = random_povm(rng, d, d * d + 1)
+        reports = (
+            (error_error_report(s, a, b, m), m),
+            (error_disturbance_report(s, a, b, random_instrument(rng, d, d * d + 1)), None),
+        )
+        for rep, m in reports:
+            j = fisher_operator(model_from_povm(s, m or witnesses[-1]))
+            r_ref = j.quad(ga, gb) - sym_correlation(s, a, b)
+            comm_ref = abs(np.trace(s.rho @ (a @ b - b @ a))) ** 2 / 4
+            assert rep.r_term == pytest.approx(r_ref, rel=1e-12, abs=1e-12)
+            assert rep.commutator_term == pytest.approx(comm_ref, rel=1e-12, abs=1e-12)
 
 
 def test_identity_channel_no_disturbance():
