@@ -306,11 +306,8 @@ def monte_carlo_variance(
     stderr is the normal-theory variance-of-variance approximation
     sqrt(2 / (n - 1)) * var.
     """
-    n, seed = _as_int(n, "n", InvalidOperandError), _as_int(seed, "seed", InvalidOperandError)
-    if n < 1000:
-        raise InvalidOperandError("need at least 1000 samples")
-    if seed < 0:
-        raise InvalidOperandError("seed must be nonnegative")
+    n = _as_int(n, "n", InvalidOperandError, 1000)
+    seed = _as_int(seed, "seed", InvalidOperandError, 0)
     values = np.asarray(values, dtype=float)
     if values.shape != mod.probs.shape:
         raise InvalidOperandError(f"values have shape {values.shape}, not {mod.probs.shape}")

@@ -27,17 +27,20 @@ class NoUnbiasedEstimatorError(UrlabError):
     """The requested gradient has a component in the kernel of the Fisher operator."""
 
 
-def _as_int(value, name: str, error: type = UrlabError) -> int:
-    """value by operator.index, so 2.5 or "3" is refused and numpy integers pass."""
+def _as_int(value, name: str, error: type = UrlabError, least: int | None = None) -> int:
+    """value by operator.index, else error; 2.5, "3", a bool and a value below least are refused,
+    all with "{name} must be an integer >= {least}, got {value!r}" (no ">= ..." if least is None).
+    """
     try:
-        return operator.index(value)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or least is not None and number < least:
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+    return number
 
 
 def _as_dim(value, name: str = "dim") -> int:
     """value as an integer dimension of at least 2, else InvalidDimensionError."""
-    dim = _as_int(value, name, InvalidDimensionError)
-    if dim < 2:
-        raise InvalidDimensionError(f"{name} must be >= 2, got {dim}")
-    return dim
+    return _as_int(value, name, InvalidDimensionError, 2)

@@ -75,7 +75,7 @@ def quantum_fisher(
     _, dp, d = kp.shape
     flat = kp.reshape(-1, dp * d)
     t = (flat.T @ flat.conj()).reshape(dp, d, dp, d)
-    sld = f.name == SLD_FUNCTION.name
+    sld = f is SLD_FUNCTION  # by identity: another f named "sld" need not be symmetric
     (r, c), n, parts = _index_maps(dp)[0], np.arange(dp), 2 if sld else 3
     i, m = np.concatenate([n, r, c][:parts]), np.concatenate([n, c, r][:parts])
     h = tangent_basis(d).inner(t.transpose(0, 2, 3, 1)[i, m])  # h[pair, a]

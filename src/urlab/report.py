@@ -56,10 +56,10 @@ def ge_row(quantity: str, value: float, bound: float, *, atol: float = 0.0) -> R
 
 
 def eq_row(quantity: str, value: float, bound: float, *, atol: float) -> Row:
-    """Row that passes when |value - bound| <= atol."""
+    """Row that passes when |value - bound| / max(1, |bound|) <= atol: relative to a large bound."""
     if math.isinf(value):
         return Row(quantity, value, bound, "infinite" if math.isinf(bound) else "fail")
-    status = "pass" if abs(value - bound) <= atol else "fail"
+    status = "pass" if abs(value - bound) / max(1.0, abs(bound)) <= atol else "fail"
     return Row(quantity, value, bound, status)
 
 

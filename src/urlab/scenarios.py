@@ -18,7 +18,6 @@ leaves a quantity out where it is undefined, e.g. an infinite error.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -124,14 +123,11 @@ class ScenarioConfig:
     cutoffs: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", least=0))
         try:
-            seed = operator.index(self.seed)
-            cutoffs = tuple(operator.index(c) for c in self.cutoffs)
-        except TypeError as exc:
-            raise UrlabError(f"seed and cutoffs must be integers: {exc}") from exc
-        if seed < 0:
-            raise UrlabError("seed must be nonnegative")
-        object.__setattr__(self, "seed", seed)
+            cutoffs = tuple(_as_int(c, "cutoff") for c in self.cutoffs)
+        except TypeError:
+            raise UrlabError(f"cutoffs must be a list of integers, got {self.cutoffs!r}") from None
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "cutoffs", cutoffs)
 
@@ -162,11 +158,9 @@ def _extremes(trials: list[dict], table) -> list[Row]:
 
 
 def _trials(cfg: ScenarioConfig, default: int) -> int:
-    """The trials parameter; like run_verify's, it must be an integer >= 1."""
+    """The trials parameter, by run_verify's rule; an integer-valued float counts as an integer."""
     trials = cfg.param("trials", default)
-    if not (trials.is_integer() and trials >= 1):
-        raise UrlabError(f"trials must be an integer >= 1, got {trials}")
-    return int(trials)
+    return _as_int(int(trials) if trials.is_integer() else trials, "trials", least=1)
 
 
 def _loewner_gap(j: np.ndarray, k: np.ndarray) -> float:
@@ -385,8 +379,7 @@ def _quantum_trial(rng, dims: range, t: int) -> dict:
     # the Cramer-Rao check builds the SLD and RLD operators; f may be either
     cr = quantum_cr_check(s, m)
     js, jr = cr.sld, cr.rld
-    built = {SLD_FUNCTION.name: js, RLD_FUNCTION.name: jr}
-    jf = built[f.name] if f.name in built else quantum_fisher(s, f)
+    jf = js if f is SLD_FUNCTION else jr if f is RLD_FUNCTION else quantum_fisher(s, f)
     ld = log_derivative(s, phi, f)
     k = kf_superoperator(s.rho, f)
     jm = fisher_operator(model_from_povm(s, sld_optimal_pvm(s, phi))).matrix
@@ -493,12 +486,8 @@ def run_verify(
     suite: str, trials: int = 50, seed: int = 0, dim_max: int = 5
 ) -> RunReport:
     """Run a randomized property suite and report per-property extremes."""
-    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
+    trials, seed = _as_int(trials, "trials", least=1), _as_int(seed, "seed", least=0)
     dim_max = _as_dim(dim_max, "dim_max")
-    if trials < 1:
-        raise UrlabError("trials must be >= 1")
-    if seed < 0:
-        raise UrlabError("seed must be nonnegative")
     names = sorted(_SUITES) if suite == "all" else [suite]
     if any(n not in _SUITES for n in names):
         raise UrlabError(f"unknown suite {suite!r}; use all|classical|quantum|uncertainty")

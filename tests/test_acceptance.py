@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from urlab import (
     RLD_FUNCTION,
@@ -21,7 +20,6 @@ from urlab import (
     disturbance,
     error_disturbance_report,
     error_error_report,
-    fisher_operator,
     grad_expectation,
     locally_unbiased_estimator,
     measurement_error,
@@ -54,7 +52,7 @@ from urlab.scenarios import (
     unsharp_z_povm,
 )
 
-from conftest import IDENTITY2, SIGMA_X, SIGMA_Z, qubit_state
+from conftest import IDENTITY2, SIGMA_Z, qubit_state
 
 
 def _report(num, name, ok, detail=""):

@@ -17,7 +17,7 @@ from urlab import (
     monte_carlo_variance,
     tangent_basis,
 )
-from urlab.classical import P_FLOOR, _deflate
+from urlab.classical import _deflate
 from urlab.errors import (
     InvalidOperandError,
     NoUnbiasedEstimatorError,
@@ -26,7 +26,7 @@ from urlab.errors import (
 from urlab.randoms import random_kernel, random_model, rng_from_seed
 from urlab.scenarios import run_verify, unsharp_z_povm
 
-from conftest import IDENTITY2, SIGMA_X, SIGMA_Z, qubit_state
+from conftest import IDENTITY2, SIGMA_X, SIGMA_Z
 
 
 def bernoulli_model(p):

@@ -38,6 +38,11 @@ class TestRows:
         assert ge_row("q", 3.0, 2.0).status == "pass"
         assert eq_row("q", 1.0 + 1e-12, 1.0, atol=1e-10).status == "pass"
         assert eq_row("q", 1.1, 1.0, atol=1e-10).status == "fail"
+        # above a bound of 1 the tolerance is relative
+        assert eq_row("q", 9998.999999999758, 9998.999999999982, atol=1e-10).status == "pass"
+        assert eq_row("q", 1e4 * (1 + 2e-10), 1e4, atol=1e-10).status == "fail"
+        assert eq_row("q", 1e-3 + 2e-10, 1e-3, atol=1e-10).status == "fail"
+        assert eq_row("q", 1e300, math.inf, atol=1e-10).status == "fail"
 
     def test_infinite_values(self):
         r = le_row("q", math.inf, 2.0)
@@ -134,6 +139,16 @@ class TestScenarioCommand:
         rows = json.loads(out.read_text())["rows"]
         assert len(rows) == 7
         assert all(r["status"] == "pass" for r in rows), rows
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [("qubit-instrument", "p=0.99"), ("qubit-instrument", "p=0.999"),
+         ("qubit-instrument", "eta=0.01"), ("qubit-unsharp", "eta=0.001")],
+    )
+    def test_large_closed_forms_pass_to_relative_rounding(self, runner, name, param):
+        # each closed form is near 1e4 or 1e6, and once failed its absolute 1e-10
+        res = runner.invoke(main, ["scenario", name, "--param", param])
+        assert res.exit_code == 0, res.output
 
     @pytest.mark.parametrize("eta", ["1.0", "0", "1.5", "-0.5"])
     def test_qubit_instrument_rejects_eta_outside_open_unit_interval(self, runner, eta):
@@ -234,10 +249,10 @@ class TestScenarioCommand:
         "content",
         [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}},
          {"dim": 3}, {"seed": 1.5}, {"cutoffs": ["a"]}, {"cutoffs": 8},
-         {"params": {"etaa": 0.9}}, {"cutoffs": [4, 8]}],
+         {"params": {"etaa": 0.9}}, {"cutoffs": [4, 8]}, {"seed": True}],
         ids=["unknown-key", "not-an-object", "non-numeric-param", "unknown-dim-key",
              "float-seed", "non-integer-cutoff", "scalar-cutoffs", "unknown-param",
-             "unread-cutoffs"],
+             "unread-cutoffs", "boolean-seed"],
     )
     def test_bad_config_is_click_error(self, runner, tmp_path, content):
         cfg = tmp_path / "cfg.json"
@@ -325,7 +340,7 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--seed", seed, "--trials", "1"])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
-        assert "Error: seed must be nonnegative" in res.output
+        assert f"Error: seed must be an integer >= 0, got {seed}" in res.output
         assert "Traceback" not in res.output
 
 

@@ -1,15 +1,18 @@
-"""Every module-level import of a package module is used in that module."""
+"""Every module-level import of a package or test module is used in that module."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "urlab"
+TESTS = pathlib.Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "urlab"
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py")),
     ids=lambda p: p.name,
 )
 def test_no_unused_imports(path):

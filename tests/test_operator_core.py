@@ -40,7 +40,7 @@ from urlab.randoms import (
     rng_from_seed,
 )
 from urlab.oscillator import thermal_state
-from urlab.scenarios import run_verify
+from urlab.scenarios import ScenarioConfig, run_verify
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, qubit_state
 
@@ -81,12 +81,18 @@ def test_tangent_basis_rejects_dim_one():
         (lambda: run_verify("all", trials=1, seed=1.5), UrlabError),
         (lambda: monte_carlo_variance(_MODEL, np.zeros(3), 1000.5, 0), InvalidOperandError),
         (lambda: monte_carlo_variance(_MODEL, np.zeros(3), 1000, 0.5), InvalidOperandError),
+        (lambda: run_verify("classical", trials=True), UrlabError),
+        (lambda: run_verify("classical", seed=False), UrlabError),
+        (lambda: ScenarioConfig("qubit-unsharp", seed=True), UrlabError),
+        (lambda: monte_carlo_variance(_MODEL, np.zeros(3), 1000, True), InvalidOperandError),
     ],
-    ids=["basis-dim", "verify-trials", "verify-dim-max", "verify-seed", "mc-n", "mc-seed"],
+    ids=["basis-dim", "verify-trials", "verify-dim-max", "verify-seed", "mc-n", "mc-seed",
+         "verify-bool-trials", "verify-bool-seed", "config-bool-seed", "mc-bool-seed"],
 )
 def test_integer_parameters_take_operator_index(call, error):
-    # 2.5 once built a basis of size 5.25; the others raised a raw TypeError
-    with pytest.raises(error, match="integer"):
+    # 2.5 once built a basis of size 5.25, the others raised a raw TypeError,
+    # and a bool ran as 0 or 1
+    with pytest.raises(error, match=r"^\w+ must be an integer( >= \d+)?, got "):
         call()
     assert tangent_basis(np.int64(3)).size == 8
 

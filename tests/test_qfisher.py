@@ -8,10 +8,10 @@ from urlab import (
     RLD_FUNCTION,
     SLD_FUNCTION,
     KrausChannel,
+    MonotoneFunction,
     correlation,
     fisher_operator,
     grad_expectation,
-    kf_superoperator,
     log_derivative,
     measurement_error,
     model_from_povm,
@@ -31,7 +31,7 @@ from urlab.randoms import (
     rng_from_seed,
 )
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, qubit_state
+from conftest import SIGMA_Z, qubit_state
 
 
 def test_sld_defining_equation(rng):
@@ -78,6 +78,19 @@ def test_rld_fisher_hermitian(rng):
     s = random_state(rng_from_seed(4), 3)
     j = quantum_fisher(s, RLD_FUNCTION)
     np.testing.assert_allclose(j.matrix, j.matrix.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "f, same_as",
+    [(MonotoneFunction("sld", lambda x: x), RLD_FUNCTION),
+     (MonotoneFunction("mine", lambda x: (x + 1) / 2), SLD_FUNCTION)],
+    ids=["rld-named-sld", "sld-named-mine"],
+)
+def test_real_sld_form_is_chosen_by_identity_not_by_name(f, same_as):
+    # an "sld" RLD once took the real path and came back 11.3 off the RLD matrix
+    s = random_state(rng_from_seed(1), 3)
+    j, ref = quantum_fisher(s, f).matrix, quantum_fisher(s, same_as).matrix
+    np.testing.assert_allclose(j, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_correlation_identities(rng):
@@ -138,16 +151,42 @@ def test_pushforward_contracts_fisher(f):
     assert gap >= -1e-8 * max(1.0, np.linalg.norm(j))
 
 
-def _metric_entries(sigma, f, images):
-    # G^f(x, y) = Tr[x^H (K^f_sigma)^{-1} y] for every pair of images, one solve each
-    k = kf_superoperator(sigma, f)
-    return np.array([[np.vdot(x, k.apply_inverse(y)) for y in images] for x in images])
+# References for J_ab on the Hermitian images x_a = E(e_a) at sigma = E(rho), from each
+# form's defining equation: none uses kf_superoperator or its coefficients c_f.
+def _sld_reference(sigma, images):
+    # J_ab = Tr[x_a L_b] with (sigma L_b + L_b sigma) / 2 = x_b, vectorized row-major
+    # as (sigma (x) I + I (x) sigma^T) / 2 vec L_b = vec x_b (Paris, IJQI 7, 125 (2009))
+    eye = np.eye(len(sigma))
+    lyapunov = (np.kron(sigma, eye) + np.kron(eye, sigma.T)) / 2
+    ls = np.linalg.solve(lyapunov, images.reshape(len(images), -1).T).T.reshape(images.shape)
+    return np.einsum("aij,bji->ab", images, ls)
+
+
+def _rld_reference(sigma, images):
+    # J_ab = Tr[x_a sigma^-1 x_b]; the transposed Tr[x_b sigma^-1 x_a] differs by O(1)
+    return np.einsum("aij,jk,bki->ab", images, np.linalg.inv(sigma), images)
+
+
+def _bogoliubov_reference(sigma, images):
+    # J_ab = int_0^inf Tr[x_a (sigma + u)^-1 x_b (sigma + u)^-1] du (Petz, LAA 244, 81
+    # (1996)), by a 200-point Gauss-Legendre rule in v = u / (1 + u) on [0, 1)
+    x, w = np.polynomial.legendre.leggauss(200)
+    v = (x + 1) / 2
+    weights = w / 2 / (1 - v) ** 2
+    r = np.linalg.inv(sigma[None] + (v / (1 - v))[:, None, None] * np.eye(len(sigma)))
+    return np.einsum("n,aij,njk,bkl,nli->ab", weights, images, r, images, r, optimize=True)
+
+
+_REFERENCES = {
+    SLD_FUNCTION: _sld_reference,
+    RLD_FUNCTION: _rld_reference,
+    BOGOLIUBOV_FUNCTION: _bogoliubov_reference,
+}
 
 
 @pytest.mark.parametrize("f", [SLD_FUNCTION, RLD_FUNCTION, BOGOLIUBOV_FUNCTION])
 def test_fisher_matrix_matches_metric_entries(f):
-    # reference: every entry Tr[E(e_a) (K^f_E(rho))^{-1} E(e_b)] solved one
-    # direction at a time, against the Gram product of the factor
+    # the Gram product of the factor against every entry from the form's defining equation
     gen = rng_from_seed(10)
     d = 3
     s = random_state(gen, d)
@@ -155,7 +194,7 @@ def test_fisher_matrix_matches_metric_entries(f):
     basis = tangent_basis(d)
     sigma = ch(s.rho)
     images = ch(basis.matrix(np.eye(basis.size)))
-    ref = _metric_entries(sigma, f, images)
+    ref = _REFERENCES[f](sigma, images)
     j = quantum_fisher(s, f, pushforward=ch).matrix
     np.testing.assert_allclose(j, ref, atol=1e-12 * np.abs(ref).max())
 
@@ -173,7 +212,7 @@ def test_pushed_fisher_matches_metric_entries_on_non_square_channels(f, d_in, d_
     basis = tangent_basis(d_in)
     sigma = ch(s.rho)
     images = ch(basis.matrix(np.eye(basis.size)))
-    ref = _metric_entries(sigma, f, images)
+    ref = _REFERENCES[f](sigma, images)
     j = quantum_fisher(s, f, pushforward=ch)
     np.testing.assert_allclose(j.matrix, ref, atol=1e-12 * max(np.abs(ref).max(), 1e-12))
     if d_out == 1:
@@ -186,9 +225,8 @@ def test_pushed_fisher_of_a_channel_trace_preserving_only_to_1e_10():
     gen = rng_from_seed(3)
     ch = KrausChannel(kraus=random_channel(gen, 3, 2).kraus * np.sqrt(1 + 9e-11))
     s = random_state(gen, 3)
-    k = kf_superoperator(ch(s.rho), SLD_FUNCTION)
     images = ch(tangent_basis(3).matrix(np.eye(8)))
-    ref = np.array([[np.vdot(x, k.apply_inverse(y)).real for y in images] for x in images])
+    ref = _sld_reference(ch(s.rho), images).real
     j = quantum_fisher(s, SLD_FUNCTION, pushforward=ch).matrix
     assert np.linalg.norm(j - ref) <= 1e-14 * np.linalg.norm(ref)
 
