@@ -64,6 +64,8 @@ def _merge_config(path: str, kwargs: dict) -> dict:
     unknown = set(file_cfg) - {f.name for f in fields(ScenarioConfig)}
     if unknown:
         raise UrlabError(f"config {path}: unknown keys {sorted(unknown)}")
+    if file_cfg.get("name", kwargs["name"]) != kwargs["name"]:
+        raise UrlabError(f"config {path}: name {file_cfg['name']!r} is not {kwargs['name']!r}")
     params = {**file_cfg.get("params", {}), **kwargs["params"]}
     return {**kwargs, **file_cfg, "params": params}
 

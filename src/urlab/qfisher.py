@@ -22,6 +22,7 @@ from .operator_core import (
     MonotoneFunction,
     RLD_FUNCTION,
     SLD_FUNCTION,
+    SuperOperatorKf,
     _index_maps,
     kf_superoperator,
     tangent_basis,
@@ -57,8 +58,18 @@ def quantum_fisher(
     Without a pushforward the entries are Tr[e_a L^f(e_b)] at the given state.
     With a channel E the model becomes theta -> E(rho0 + theta): the state is
     pushed through E and the basis directions through its Kraus operators.
-    In the eigenbasis u of the state sigma the entries are Tr[h_a^H h_b] with
-    h_a = (u^H E(e_a) u) / sqrt(c_f), so the h_a are the columns of a Gram factor.
+    """
+    return _pushed_fisher(_as_state(s).rho, f, pushforward)[0]
+
+
+def _pushed_fisher(
+    rho: np.ndarray, f: MonotoneFunction, pushforward: KrausChannel | None
+) -> tuple[FisherOperator, SuperOperatorKf]:
+    """quantum_fisher's operator and the K^f of sigma = E(rho) that it is built on.
+
+    rho is pushed once and sigma diagonalized once; the error-disturbance witness
+    solves its SLD with the same K^f.  In the eigenbasis u of sigma the entries are
+    Tr[h_a^H h_b] with h_a = (u^H E(e_a) u) / sqrt(c_f), the columns of a Gram factor.
     With K' = u^H K (K' = u^H without a channel), the Choi-form tensor
     t[i,j,m,k] = sum_l K'_l[i,j] conj(K'_l[m,k]) is one matmul, and
     (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] is tangent_basis(d).inner of t with
@@ -67,7 +78,6 @@ def quantum_fisher(
     their left-null vector sqrt(l) of sigma, come first, then sqrt(2) h_a[i,m] (i < m) as
     real and imaginary parts (SLD) or h_a[i,m] for i < m and then for i > m.
     """
-    rho = _as_state(s).rho
     sigma = rho if pushforward is None else pushforward(rho)
     k = kf_superoperator(sigma, f)
     uh = k.state_eigenvectors.conj().T
@@ -85,8 +95,8 @@ def quantum_fisher(
     if sld:
         # h_a is Hermitian: its d'^2 real coordinates carry the real form Tr[h_a h_b]
         off *= np.sqrt(2)
-        return FisherOperator(np.concatenate([diag.real, off.real, off.imag]))
-    return FisherOperator(np.concatenate([diag, off]))
+        return FisherOperator(np.concatenate([diag.real, off.real, off.imag])), k
+    return FisherOperator(np.concatenate([diag, off])), k
 
 
 @dataclass(frozen=True)
@@ -130,10 +140,10 @@ def sld_optimal_pvm(s: QuantumState | np.ndarray, phi: np.ndarray) -> Povm:
     solved from a near-singular Fisher operator) carries a rounding residue
     that would fail the Hermiticity check.
     """
-    return _sld_pvm(_as_state(s).rho, phi)
+    return _sld_pvm(kf_superoperator(_as_state(s).rho, SLD_FUNCTION), phi)
 
 
-def _sld_pvm(rho: np.ndarray, phi: np.ndarray) -> Povm:
-    """sld_optimal_pvm on a positive definite rho that need not have trace 1, e.g. E(rho)."""
-    l = kf_superoperator(rho, SLD_FUNCTION).apply_inverse(phi)
+def _sld_pvm(k: SuperOperatorKf, phi: np.ndarray) -> Povm:
+    """sld_optimal_pvm for the K^S of a positive definite matrix of any trace, e.g. E(rho)."""
+    l = k.apply_inverse(phi)
     return pvm_of_observable((l + l.conj().T) / 2)

@@ -99,7 +99,8 @@ class RunReport:
         }
 
 
-def new_metadata(seed: int, dims, started: float) -> dict:
+def new_metadata(seed: int, dims, started: float, inputs: dict) -> dict:
+    """seed, dims, wall time and version, plus the run's other inputs, so it can be replayed."""
     from . import __version__
 
     return {
@@ -107,6 +108,7 @@ def new_metadata(seed: int, dims, started: float) -> dict:
         "dims": list(dims),
         "wall_time": time.time() - started,
         "version": __version__,
+        **inputs,
     }
 
 

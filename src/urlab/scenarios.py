@@ -18,6 +18,7 @@ leaves a quantity out where it is undefined, e.g. an infinite error.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -40,12 +41,7 @@ from .operator_core import (
     schur_positivity_report,
     tangent_basis,
 )
-from .qfisher import (
-    log_derivative,
-    quantum_cr_check,
-    quantum_fisher,
-    sld_optimal_pvm,
-)
+from .qfisher import quantum_cr_check, quantum_fisher, sld_optimal_pvm
 from .quantum import (
     CpInstrument,
     KrausChannel,
@@ -128,14 +124,15 @@ class ScenarioConfig:
             cutoffs = tuple(_as_int(c, "cutoff") for c in self.cutoffs)
         except TypeError:
             raise UrlabError(f"cutoffs must be a list of integers, got {self.cutoffs!r}") from None
-        object.__setattr__(self, "params", dict(self.params))
+        params = dict(self.params)
+        for key, value in params.items():  # a bool is an int, but true is not eta = 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise UrlabError(f"param {key!r} is not a number: {value!r}")
+        object.__setattr__(self, "params", {k: float(v) for k, v in params.items()})
         object.__setattr__(self, "cutoffs", cutoffs)
 
     def param(self, key: str, default: float) -> float:
-        try:
-            return float(self.params.get(key, default))
-        except (TypeError, ValueError) as exc:
-            raise UrlabError(f"param {key!r} is not a number: {self.params[key]!r}") from exc
+        return float(self.params.get(key, default))
 
 
 def _extremes(trials: list[dict], table) -> list[Row]:
@@ -292,9 +289,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         raise UrlabError(f"scenario {cfg.name!r} reads no cutoffs")
     started = time.time()
     rows, dims = run(cfg)
-    return RunReport(
-        scenario=cfg.name, rows=rows, metadata=new_metadata(cfg.seed, dims, started)
-    )
+    inputs = {"params": cfg.params, "cutoffs": list(cfg.cutoffs)}
+    return RunReport(cfg.name, rows, new_metadata(cfg.seed, dims, started, inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +376,8 @@ def _quantum_trial(rng, dims: range, t: int) -> dict:
     cr = quantum_cr_check(s, m)
     js, jr = cr.sld, cr.rld
     jf = js if f is SLD_FUNCTION else jr if f is RLD_FUNCTION else quantum_fisher(s, f)
-    ld = log_derivative(s, phi, f)
     k = kf_superoperator(s.rho, f)
+    ld = k.apply_inverse(phi)
     jm = fisher_operator(model_from_povm(s, sld_optimal_pvm(s, phi))).matrix
     ga = basis.coords(grad_expectation(s, a))
     gb = basis.coords(grad_expectation(s, b))
@@ -498,6 +494,5 @@ def run_verify(
         trial, table = _SUITES[name]
         for row in _extremes([trial(rng, dims, t) for t in range(trials)], table):
             rows.append(Row(f"{name}.{row.quantity}", row.value, row.bound, row.status))
-    return RunReport(
-        scenario=f"verify-{suite}", rows=rows, metadata=new_metadata(seed, dims, started)
-    )
+    inputs = {"suite": suite, "trials": trials, "dim_max": dim_max}
+    return RunReport(f"verify-{suite}", rows, new_metadata(seed, dims, started, inputs))

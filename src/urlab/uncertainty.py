@@ -22,7 +22,7 @@ import numpy as np
 from .classical import FisherOperator, fisher_operator, model_from_povm
 from .errors import InvalidOperandError
 from .operator_core import SLD_FUNCTION, dagger, tangent_basis
-from .qfisher import _sld_pvm, quantum_fisher
+from .qfisher import _pushed_fisher, _sld_pvm, quantum_fisher
 from .quantum import (
     CpInstrument,
     KrausChannel,
@@ -216,8 +216,9 @@ def error_disturbance_report(
     (J^S_E)^+ grad<B>), so eps(B; M) <= eta(B; I) by construction; the first
     marginal is the induced POVM, so eps(A; M) <= eps(A; I).  R_M is
     evaluated in the same M.  X is the least-norm solution, so M is defined
-    even when eta(B) is infinite.  L is solved on the matrix E(rho), as in
-    quantum_fisher, not on a new state, so every CpInstrument has a witness.
+    even when eta(B) is infinite.  J^S_E and L come from one push of rho and
+    one K^S of the matrix E(rho), not of a new state, so every CpInstrument
+    has a witness.
     """
     s = _as_state(s)
     if ins.dim != s.dim:
@@ -225,9 +226,9 @@ def error_disturbance_report(
     avg = average_channel(ins)
     (ga, var_a), (gb, var_b) = _observable(s, a), _observable(s, b)
     j_a = fisher_operator(model_from_povm(s, induced_povm(ins)))
-    j_s = quantum_fisher(s, SLD_FUNCTION, pushforward=avg)
-    sigma, ex = avg(np.stack([s.rho, tangent_basis(s.dim).matrix(j_s.solve(gb))]))
-    joint = joint_povm(ins, _sld_pvm(sigma, ex))
+    j_s, k_s = _pushed_fisher(s.rho, SLD_FUNCTION, avg)
+    x = tangent_basis(s.dim).matrix(j_s.solve(gb))
+    joint = joint_povm(ins, _sld_pvm(k_s, avg(x)))
     j_joint = fisher_operator(model_from_povm(s, joint))
     return ErrorDisturbanceReport(
         eps_a=_error_from_operator(j_a, ga, var_a),

@@ -245,14 +245,32 @@ class TestScenarioCommand:
         assert res.exit_code == 0, res.output
         assert "0.234568" in res.output
 
+    def test_json_report_records_the_run_inputs(self, runner, tmp_path):
+        # a config may repeat the command's NAME; the report keeps what the run read
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg.write_text(json.dumps({"name": "qubit-unsharp", "params": {"eta": 0.9, "trials": 3}}))
+        res = runner.invoke(main, ["scenario", "qubit-unsharp", "--config", str(cfg), "--seed",
+                                   "4", "--param", "r=0.25", "--out", str(out), "--format", "json"])
+        assert res.exit_code == 0, res.output
+        meta = json.loads(out.read_text())["metadata"]
+        assert meta["params"] == {"eta": 0.9, "trials": 3.0, "r": 0.25}
+        assert (meta["seed"], meta["cutoffs"]) == (4, [])
+        res = runner.invoke(main, ["verify", "--suite", "classical", "--trials", "3", "--seed",
+                                   "5", "--dim-max", "3", "--out", str(out), "--format", "json"])
+        assert res.exit_code == 0, res.output
+        meta = json.loads(out.read_text())["metadata"]
+        assert {k: meta[k] for k in ("suite", "trials", "seed", "dim_max", "dims")} == {
+            "suite": "classical", "trials": 3, "seed": 5, "dim_max": 3, "dims": [2, 3]}
+
     @pytest.mark.parametrize(
         "content",
         [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}},
          {"dim": 3}, {"seed": 1.5}, {"cutoffs": ["a"]}, {"cutoffs": 8},
-         {"params": {"etaa": 0.9}}, {"cutoffs": [4, 8]}, {"seed": True}],
+         {"params": {"etaa": 0.9}}, {"cutoffs": [4, 8]}, {"seed": True},
+         {"params": {"trials": True}}, {"params": {"eta": True}}, {"name": "qubit-instrument"}],
         ids=["unknown-key", "not-an-object", "non-numeric-param", "unknown-dim-key",
              "float-seed", "non-integer-cutoff", "scalar-cutoffs", "unknown-param",
-             "unread-cutoffs", "boolean-seed"],
+             "unread-cutoffs", "boolean-seed", "boolean-trials", "boolean-eta", "other-name"],
     )
     def test_bad_config_is_click_error(self, runner, tmp_path, content):
         cfg = tmp_path / "cfg.json"

@@ -26,3 +26,38 @@ def test_no_unused_imports(path):
     ]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert [name for name in bound if name not in used] == []
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level private function, class or constant of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+        yield from ((name, node) for name in private)
+
+
+def test_every_private_name_is_read_in_the_package():
+    # no dead helpers: each private definition is read outside itself, by name
+    # or as a module attribute, somewhere in src/urlab
+    readers: dict[str, set] = {}
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    for tree in trees.values():
+        for top in tree.body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    readers.setdefault(n.id, set()).add(id(top))
+                elif isinstance(n, ast.Attribute):
+                    readers.setdefault(n.attr, set()).add(id(top))
+    dead = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if not readers.get(name, set()) - {id(node)}
+    ]
+    assert dead == []

@@ -10,6 +10,7 @@ from urlab import (
     KrausChannel,
     Povm,
     QuantumState,
+    SLD_FUNCTION,
     average_channel,
     disturbance,
     error_disturbance_report,
@@ -18,9 +19,11 @@ from urlab import (
     grad_expectation,
     induced_povm,
     joint_povm,
+    kf_superoperator,
     measurement_error,
     model_from_povm,
     pvm_of_observable,
+    quantum_fisher,
     sym_correlation,
     tangent_basis,
     variance,
@@ -415,22 +418,54 @@ class TestErrorDisturbanceReport:
             assert rep.domination_b
 
     def test_one_fisher_solve_per_report(self, monkeypatch):
-        # the witness reuses the pushed SLD operator that gives eta(B)
-        import urlab.uncertainty as unc
+        # eta(B) and the witness's SLD share one K^S of E(rho): _sld_pvm builds
+        # none, so the only other eigh is the witness PVM's
+        import urlab.qfisher as qf
 
-        calls = []
-        real = unc.quantum_fisher
+        built, eighs = [], []
+        real_kf, real_eigh = qf.kf_superoperator, np.linalg.eigh
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting_kf(rho, f):
+            built.append(f)
+            return real_kf(rho, f)
 
-        monkeypatch.setattr(unc, "quantum_fisher", counting)
+        def counting_eigh(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
         gen = rng_from_seed(27)
         s = random_state(gen, 3)
+        a, b = random_hermitian(gen, 3), random_hermitian(gen, 3)
         ins = random_instrument(gen, 3, 10)
-        error_disturbance_report(s, random_hermitian(gen, 3), random_hermitian(gen, 3), ins)
-        assert len(calls) == 1
+        monkeypatch.setattr(qf, "kf_superoperator", counting_kf)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        error_disturbance_report(s, a, b, ins)
+        assert len(built) == 1 and built[0] is SLD_FUNCTION
+        assert eighs == [(3, 3), (3, 3)]
+
+    def test_witness_is_the_sld_pvm_of_the_pushed_state(self, monkeypatch):
+        # the PVM passed to joint_povm is that of L^S(E(X)) at E(rho), here
+        # solved on a fresh K^S of E(rho)
+        pvms = []
+
+        def recording(ins, pvm):
+            pvms.append(pvm)
+            return joint_povm(ins, pvm)
+
+        monkeypatch.setattr(uncertainty, "joint_povm", recording)
+        gen = rng_from_seed(31)
+        for d in (2, 3, 4):
+            s = random_state(gen, d)
+            a, b = random_hermitian(gen, d), random_hermitian(gen, d)
+            ins = random_instrument(gen, d, d * d + 1)
+            error_disturbance_report(s, a, b, ins)
+            avg, basis = average_channel(ins), tangent_basis(d)
+            gb = basis.coords(grad_expectation(s, b))
+            x = basis.matrix(quantum_fisher(s, SLD_FUNCTION, pushforward=avg).solve(gb))
+            l = kf_superoperator(avg(s.rho), SLD_FUNCTION).apply_inverse(avg(x))
+            ref = pvm_of_observable((l + l.conj().T) / 2)
+            assert np.allclose(pvms[-1].outcomes, ref.outcomes, rtol=0, atol=1e-12)
+            assert np.abs(pvms[-1].effects - ref.effects).max() <= 1e-12
 
     def test_one_gradient_variance_and_channel_pass_per_report(self, monkeypatch):
         # grad<A>, Var(A) and E(rho), E(X) are each computed once per report
@@ -455,23 +490,23 @@ class TestErrorDisturbanceReport:
         assert sorted(calls) == ["apply_channel"] * 2 + ["grad_expectation"] * 2 + ["variance"] * 2
 
     def test_two_kraus_sums_per_report(self, monkeypatch):
-        # E(rho) inside the pushed Fisher operator and E(rho), E(X) for the witness;
+        # E(rho) once, for the pushed Fisher operator and the witness, and E(X);
         # the induced and joint POVMs are batched products, not per-outcome sums
         import urlab.quantum as qm
 
         calls = []
         real = qm._kraus_sum
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(kraus, x):
+            calls.append(np.shape(x))
+            return real(kraus, x)
 
         monkeypatch.setattr(qm, "_kraus_sum", counting)
         gen = rng_from_seed(29)
         s = random_state(gen, 4)
         ins = random_instrument(gen, 4, 17)
         error_disturbance_report(s, random_hermitian(gen, 4), random_hermitian(gen, 4), ins)
-        assert len(calls) == 2
+        assert calls == [(4, 4), (4, 4)]
 
     def test_each_state_is_validated_once_per_report(self, monkeypatch):
         # the caller's raw rho becomes one QuantumState that the whole call
