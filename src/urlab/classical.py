@@ -164,8 +164,13 @@ class FisherOperator:
         return float(np.linalg.norm(a - self._vh.conj().T @ (self._vh @ a)))
 
     def in_range(self, a: np.ndarray) -> bool:
-        """Whether a's kernel violation is at most 1e-8 of its norm: (a, J^+ a) is finite."""
-        return self.kernel_violation(a) <= 1e-8 * max(np.linalg.norm(a), 1e-300)
+        """Whether a's kernel violation passes _in_range: (a, J^+ a) is finite."""
+        return _in_range(self.kernel_violation(a), a)
+
+
+def _in_range(violation: float, a: np.ndarray) -> bool:
+    """The range rule: a kernel violation at most 1e-8 of |a| puts a in range(J)."""
+    return violation <= 1e-8 * max(np.linalg.norm(a), 1e-300)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +223,8 @@ def model_from_povm(s: QuantumState | np.ndarray, m: Povm) -> StatisticalModel:
     d = rho.shape[0]
     if m.dim != d:
         raise InvalidOperandError("state and POVM dimension mismatch")
-    probs = np.einsum("ij,xji->x", rho, m.effects).real
+    # Tr[rho E_x] = sum_ji (E_x)_ji rho_ij: one GEMV reads the effects in memory order
+    probs = (m.effects.reshape(len(m.effects), d * d) @ rho.T.reshape(d * d)).real
     return _model_on_support(m.outcomes, probs, tangent_basis(d).coords(m.effects), m.effects)
 
 
@@ -284,10 +290,9 @@ def locally_unbiased_estimator(
     if not np.isfinite(target_value):
         raise InvalidOperandError(f"target value {target_value} is not finite")
     j = fisher_operator(mod)
-    if not j.in_range(a):
-        raise NoUnbiasedEstimatorError(
-            f"direction has kernel component {j.kernel_violation(a):.3e}"
-        )
+    violation = j.kernel_violation(a)
+    if not _in_range(violation, a):
+        raise NoUnbiasedEstimatorError(f"direction has kernel component {violation:.3e}")
     return Estimator(values=target_value + mod.scores @ j.solve(a), variance=j.quad(a))
 
 

@@ -7,6 +7,7 @@ import sys
 from dataclasses import fields
 
 import click
+from click.core import ParameterSource
 
 from .errors import UrlabError
 from .report import emit
@@ -52,8 +53,12 @@ def _parse_params(pairs) -> dict:
     return params
 
 
-def _merge_config(path: str, kwargs: dict) -> dict:
-    """ScenarioConfig arguments from a JSON file; --param values override its params."""
+def _merge_config(path: str, kwargs: dict, defaulted: set) -> dict:
+    """ScenarioConfig arguments from a JSON file and the command line.
+
+    The file overrides an option left at its click default (a key in defaulted);
+    an option given explicitly overrides the file, and --param values its params.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
@@ -67,7 +72,8 @@ def _merge_config(path: str, kwargs: dict) -> dict:
     if file_cfg.get("name", kwargs["name"]) != kwargs["name"]:
         raise UrlabError(f"config {path}: name {file_cfg['name']!r} is not {kwargs['name']!r}")
     params = {**file_cfg.get("params", {}), **kwargs["params"]}
-    return {**kwargs, **file_cfg, "params": params}
+    given = {k: v for k, v in kwargs.items() if k not in defaulted}
+    return {**kwargs, **file_cfg, **given, "params": params}
 
 
 @click.group()
@@ -89,9 +95,11 @@ def scenario(name, seed, params, config, out, fmt):
             click.echo(n)
         return
     kwargs = {"name": name, "seed": seed, "params": _parse_params(params)}
+    source = click.get_current_context().get_parameter_source
+    defaulted = {k for k in kwargs if source(k) is ParameterSource.DEFAULT}
 
     def build():
-        merged = _merge_config(config, kwargs) if config else kwargs
+        merged = _merge_config(config, kwargs, defaulted) if config else kwargs
         return run_scenario(ScenarioConfig(**merged))
 
     _finish(build, out, fmt)

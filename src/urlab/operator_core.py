@@ -10,6 +10,7 @@ with f(1) = 1, and its K^f coefficient is always b f(a / b).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
@@ -32,13 +33,26 @@ def is_hermitian(a: np.ndarray) -> bool:
 
     Each is held to HERM_RTOL times its own max(|a|_max, 1), not the stack's, and
     one with a NaN or inf entry, whose scale is then not finite, is not Hermitian.
+    a - a^H is formed in memory order: a^H is one contiguous copy of the swapped
+    view, conjugated in place, and a - a^H overwrites it; both maxima run over
+    each matrix's flattened entries, and one matrix takes scalar reductions.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.size:
         return False
-    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
-    finite = np.isfinite(scale).all()  # a - a^H is not formed for inf, where it would warn
-    return bool(finite and np.all(np.abs(a - dagger(a)).max(axis=(-2, -1)) <= HERM_RTOL * scale))
+    h = np.swapaxes(a, -1, -2).copy()
+    np.conjugate(h, out=h)
+    if a.ndim == 2:
+        scale = float(np.abs(a).max())
+        if not math.isfinite(scale):  # a - a^H is not formed for inf, where it would warn
+            return False
+        return float(np.abs(np.subtract(a, h, out=h)).max()) <= HERM_RTOL * max(scale, 1.0)
+    flat = a.shape[:-2] + (-1,)
+    scale = np.maximum(np.abs(a).reshape(flat).max(axis=-1), 1.0)
+    if not np.isfinite(scale).all():
+        return False
+    diff = np.abs(np.subtract(a, h, out=h)).reshape(flat).max(axis=-1)
+    return bool((diff <= HERM_RTOL * scale).all())
 
 
 def require_hermitian(a: np.ndarray, what: str = "operand") -> np.ndarray:
@@ -86,7 +100,9 @@ class TangentBasis:
     (generalized Gell-Mann diagonals), so coordinate vectors are reproducible
     across runs.  Only the (j < k) index pair and the (d - 1) x d Gell-Mann
     matrix G are kept.  inner reads each entry of a matrix once, O(d^2) per
-    matrix, and matrix is two scatters and a product with G.
+    matrix; coords reads the same entries but computes only the real
+    coordinates, with real arithmetic; matrix is two scatters and a product
+    with G.
     """
 
     dim: int
@@ -101,6 +117,19 @@ class TangentBasis:
     def size(self) -> int:
         return self.dim * self.dim - 1
 
+    def _pair_entries(self, y: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """y_jk and y_kj over the pairs j < k, and an empty (..., d^2 - 1) output of dtype.
+
+        The output is laid out entry-major in memory, the layout numpy gives the
+        gathers, so no ufunc that writes into it transposes.
+        """
+        if y.shape[-2:] != (self.dim, self.dim):
+            raise InvalidDimensionError(f"shape {y.shape} does not end in {(self.dim,) * 2}")
+        j, k = self._pairs
+        lead = y.shape[:-2]
+        out = np.empty((self.size,) + lead, dtype).transpose(*range(1, len(lead) + 1), 0)
+        return y[..., j, k], y[..., k, j], out
+
     def inner(self, y: np.ndarray) -> np.ndarray:
         """Tr[e_a^H y] for every element e_a and every matrix y of a (..., d, d) stack.
 
@@ -108,14 +137,8 @@ class TangentBasis:
         up + lo, i (up - lo), then G diag(y).
         """
         y, w = np.asarray(y), 1 / 2**0.5
-        if y.shape[-2:] != (self.dim, self.dim):
-            raise InvalidDimensionError(f"shape {y.shape} does not end in {(self.dim,) * 2}")
-        j, k = self._pairs
-        p = j.size
-        up, lo = y[..., j, k] * w, y[..., k, j] * w
-        # entry-major memory, the layout numpy gives the gathers, so no ufunc transposes
-        lead = y.shape[:-2]
-        out = np.empty((self.size,) + lead, dtype=complex).transpose(*range(1, len(lead) + 1), 0)
+        up, lo, out = self._pair_entries(y, complex)
+        up, lo, p = up * w, lo * w, up.shape[-1]
         np.add(up, lo, out=out[..., :p])
         np.subtract(up, lo, out=out[..., p : 2 * p])
         out[..., p : 2 * p] *= 1j
@@ -125,9 +148,19 @@ class TangentBasis:
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Real coordinates Re Tr[e_a^H x] of every matrix x of a (..., d, d) stack.
 
-        For a Hermitian x these are the coordinates of its traceless part.
+        For a Hermitian x these are the coordinates of its traceless part.  They
+        are inner's real parts, computed from the real and imaginary parts alone
+        with the same per-term scaling: with up = x_jk and lo = x_kj, Re up / sqrt 2
+        + Re lo / sqrt 2, then Im lo / sqrt 2 - Im up / sqrt 2, then G Re diag(x).
+        Only one matrix's G Re diag(x), which numpy hands to BLAS, may round apart.
         """
-        return self.inner(x).real
+        x, w = np.asarray(x), 1 / 2**0.5
+        up, lo, out = self._pair_entries(x, float)
+        p = up.shape[-1]
+        np.add(up.real * w, lo.real * w, out=out[..., :p])
+        np.subtract(lo.imag * w, up.imag * w, out=out[..., p : 2 * p])
+        np.matmul(x.real.diagonal(0, -2, -1), self._gell_mann.T, out=out[..., 2 * p :])
+        return out
 
     def matrix(self, coords: Sequence[float]) -> np.ndarray:
         """sum_a c_a e_a for every coordinate vector of a (..., d^2 - 1) stack."""

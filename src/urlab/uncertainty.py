@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import FisherOperator, fisher_operator, model_from_povm
+from .classical import FisherOperator, _in_range, fisher_operator, model_from_povm
 from .errors import InvalidOperandError
 from .operator_core import SLD_FUNCTION, dagger, tangent_basis
 from .qfisher import _pushed_fisher, _sld_pvm, quantum_fisher
@@ -58,11 +58,12 @@ class ErrorResult:
 
 
 def _error_from_operator(j: FisherOperator, g: np.ndarray, var: float) -> ErrorResult:
+    violation = j.kernel_violation(g)
     return ErrorResult(
         quad_form=j.quad(g),
         variance=var,
-        kernel_violation=j.kernel_violation(g),
-        is_infinite=not j.in_range(g),
+        kernel_violation=violation,
+        is_infinite=not _in_range(violation, g),
     )
 
 

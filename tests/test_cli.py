@@ -262,6 +262,16 @@ class TestScenarioCommand:
         assert {k: meta[k] for k in ("suite", "trials", "seed", "dim_max", "dims")} == {
             "suite": "classical", "trials": 3, "seed": 5, "dim_max": 3, "dims": [2, 3]}
 
+    @pytest.mark.parametrize("seed_args, seed", [([], 3), (["--seed", "4"], 4), (["--seed", "0"], 0)],
+                             ids=["default-yields", "explicit-wins", "explicit-default-value-wins"])
+    def test_explicit_seed_beats_config_seed(self, runner, tmp_path, seed_args, seed):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg.write_text(json.dumps({"seed": 3, "params": {"trials": 2}}))
+        res = runner.invoke(main, ["scenario", "qubit-unsharp", "--config", str(cfg), *seed_args,
+                                   "--out", str(out), "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(out.read_text())["metadata"]["seed"] == seed
+
     @pytest.mark.parametrize(
         "content",
         [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}},

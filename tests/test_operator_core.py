@@ -172,6 +172,81 @@ def test_stacked_coords_and_matrix_match_dense_basis(dim):
     np.testing.assert_allclose(basis.matrix(basis.coords(y)), project_traceless(y), atol=1e-14)
 
 
+def _is_hermitian_loop(a):
+    # the rule, matrix by matrix: finite, and max|a - a^H| <= 1e-12 max(max|a|, 1)
+    return all(np.isfinite(m).all() and np.abs(m - m.conj().T).max() <= 1e-12 * max(np.abs(m).max(), 1.0)
+               for m in a.reshape((-1,) + a.shape[-2:]))
+
+
+def _laid_out(a, layout):
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    if layout == "transposed":  # a view whose last two axes are swapped in memory
+        return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
+    if layout == "sliced":  # every other row and column of a larger array
+        big = np.zeros(a.shape[:-2] + (2 * a.shape[-2], 2 * a.shape[-1]), a.dtype)
+        big[..., ::2, 1::2] = a
+        return big[..., ::2, 1::2]
+    return np.ascontiguousarray(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 5),
+    n=st.sampled_from([None, 1, 3]),
+    cplx=st.booleans(),
+    magnitude=st.sampled_from([1e-3, 1.0, 1e6]),
+    layout=st.sampled_from(["C", "fortran", "transposed", "sliced"]),
+    edit=st.sampled_from(["none", "at-bound", "ulp-inside", "ulp-outside", "nan", "inf"]),
+)
+def test_is_hermitian_matches_the_per_matrix_loop(seed, d, n, cplx, magnitude, layout, edit):
+    gen = np.random.default_rng(seed)
+    shape = (n or 1, d, d)
+    g = magnitude * (random_complex(gen, shape) if cplx else gen.normal(size=shape))
+    a = np.triu(g) + np.swapaxes(np.triu(g, 1), -1, -2).conj()
+    if cplx:
+        a[:, range(d), range(d)] = a[:, range(d), range(d)].real  # exactly Hermitian
+    m = a[gen.integers(len(a))]
+    want = True
+    if edit in ("nan", "inf"):
+        m[gen.integers(d), gen.integers(d)] = np.nan if edit == "nan" else np.inf
+        want = False
+    elif edit != "none" and d > 1:
+        j, k = sorted(gen.choice(d, 2, replace=False))
+        m[j, k] = m[k, j] = 0.0
+        bound = 1e-12 * max(np.abs(m).max(), 1.0)
+        step = {"at-bound": bound, "ulp-inside": np.nextafter(bound, 0),
+                "ulp-outside": np.nextafter(bound, np.inf)}[edit]
+        m[j, k] = 1j * step if cplx else step  # |a_jk - conj(a_kj)| is exactly step
+        want = edit != "ulp-outside"
+    a = _laid_out(a if n else a[0], layout)
+    assert _is_hermitian_loop(a) is want
+    assert is_hermitian(a) is want
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_coords_are_the_real_part_of_inner(dim):
+    # coords computes only Re Tr[e_a^H x], from x's real and imaginary parts, and must
+    # equal inner's real part bit for bit on stacks, Hermitian or not, in any layout
+    gen = rng_from_seed(40 + dim)
+    basis = tangent_basis(dim)
+    herm = np.array([random_hermitian(gen, dim) for _ in range(6)])
+    for y in (herm, herm.reshape(2, 3, dim, dim), random_complex(gen, (5, dim, dim)),
+              _laid_out(random_complex(gen, (4, dim, dim)), "transposed")):
+        got, want = basis.coords(y), basis.inner(y).real
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # numpy hands a single diagonal to BLAS, complex in inner and real in coords, whose
+    # sums may round apart: the Gell-Mann coordinates then agree to rounding only
+    for y in (herm[0], herm[:1]):
+        np.testing.assert_allclose(basis.coords(y), basis.inner(y).real, rtol=0, atol=1e-15 * dim)
+    # a real input takes the same route; its imaginary parts read as zeros
+    x = herm.real
+    np.testing.assert_array_equal(basis.coords(x), basis.inner(x).real)
+    np.testing.assert_array_equal(basis.coords(x), basis.coords(x.astype(complex)))
+
+
 def test_project_traceless(rng):
     for d in (2, 4):
         w = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
