@@ -8,9 +8,9 @@ through a Gram factor B with J = B^H B; the quantum Fisher informations of
 qfisher use the same type, so error and disturbance share one quadratic form
 and one J^+ solve.  Each builder deflates the factor's left-null vector known
 in closed form (sqrt(p) here, by the zero-mean score identity), so the rank
-cut never meets its rounding residue.  One nonzero mask of B finds its 1x1
-blocks, read off directly; the rest of B takes one thin SVD (of the R of its QR
-when it is tall), and each row of V^H is written once, at its sorted position.
+cut never meets its rounding residue.  A B (m x n) without zero entries and with
+m >= n takes only the singular values of the R of its QR; an invertible J then
+whitens by R^{-H}.  Any other B: 1x1 blocks read off, one thin SVD of the rest.
 """
 
 from __future__ import annotations
@@ -88,15 +88,11 @@ def _thin_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.svd(b, full_matrices=False)[1:]
 
 
-def _block_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of b in descending order, and the matching rows of V^H.
-
-    A factor with zero entries splits off its 1x1 blocks: an entry alone in its
-    row and its column has singular value |b_rc| and V^H row e_c (its phase goes
-    to U, not kept).  The other nonzero rows and columns take one thin SVD."""
-    nz = b != 0
-    if nz.all():  # tested first: the per-axis counts cost more than a small factor's SVD
-        return _thin_svd(b)
+def _block_svd(b: np.ndarray, nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of b, which has a zero entry (nz = b != 0), in descending
+    order, and the matching rows of V^H.  An entry alone in its row and its column
+    has singular value |b_rc| and V^H row e_c (its phase goes to U, not kept); the
+    other nonzero rows and columns take one thin SVD."""
     nrow, ncol = np.count_nonzero(nz, axis=1), np.count_nonzero(nz, axis=0)
     r = np.flatnonzero(nrow == 1)
     c = nz[r].argmax(axis=1)
@@ -115,27 +111,37 @@ def _block_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class FisherOperator:
-    """Fisher information J = B^H B, held through its Gram factor B.
+    """Fisher information J = B^H B, held through its Gram factor B (m x n).
 
-    The SVD B = U S V^H (one thin SVD when B has no zero entry, otherwise
-    B's 1x1 blocks read off directly and one thin SVD of the rest) fixes the
-    numerical rank: singular values of B (not of J, which would square the
-    condition number) at or below max(B.shape) * eps * s_max are cut, with
-    B's shape even where a tall block (rows >= 2 cols) is first reduced to
-    the square R of its QR, whose SVD has the same S and V.  U is not kept.  The
-    kept right singular vectors V_r span range(J): with z = S^{-1} V_r^H a,
-    solve(a) = J^+ a = V_r S^{-1} z, (a, J^+ b) is the dot product of the z of
-    a and of b, and a leaves the range by its residual a - V_r V_r^H a.  J and
-    its pseudoinverse (a test reference) are derived only on request.
+    The rank cuts singular values of B (not of J, which would square the
+    condition number) at or below max(m, n) * eps * s_max, with B's shape even
+    where B is first reduced to the square R of its QR (same S and V).  A B with
+    no zero entry and m >= n takes the singular values of R (B itself when
+    square) alone; when none is cut, J^+ = J^{-1} = W^H W with W = R^{-H},
+    z = W a, and ker J = {0}.  Any other B has its 1x1 blocks read off and the
+    rest in one thin SVD B = U S V^H: the kept V_r span range(J), z = S^{-1} V_r^H a,
+    and a leaves the range by a - V_r V_r^H a.  Either way (a, J^+ b) is the dot
+    product of the z of a and of b.  U is never kept; J and its pseudoinverse (a
+    test reference) are derived only on request.
     """
 
     def __init__(self, factor: np.ndarray):
         self.factor = factor
-        sv, vh = _block_svd(factor)
-        tol = max(factor.shape) * np.finfo(float).eps * sv.max(initial=0)
-        self.rank = int(np.sum(sv > tol))
+        m, n = factor.shape
+        tol = max(m, n) * np.finfo(float).eps
+        nz = factor != 0
+        dense = nz.all()
+        if dense and m >= n > 0:
+            r = np.linalg.qr(factor, mode="r") if m > n else factor
+            sv = np.linalg.svd(r, compute_uv=False)
+            if sv[-1] > tol * sv[0]:  # nothing is cut: J is invertible
+                self.rank, self._sv, self._vh = n, 1.0, None  # z = W a; no V, no kernel
+                self._w = np.linalg.inv(r).conj().T
+                return
+        sv, vh = _thin_svd(factor) if dense else _block_svd(factor, nz)
+        self.rank = int(np.sum(sv > tol * sv.max(initial=0)))
         self._sv = sv[: self.rank]
-        self._vh = vh[: self.rank]
+        self._w = self._vh = vh[: self.rank]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -143,14 +149,14 @@ class FisherOperator:
 
     @cached_property
     def pinv(self) -> np.ndarray:
-        return (self._vh.conj().T / self._sv**2) @ self._vh
+        return (self._w.conj().T / self._sv**2) @ self._w
 
     def _whiten(self, a: np.ndarray) -> np.ndarray:
-        return (self._vh @ np.asarray(a)) / self._sv
+        return (self._w @ np.asarray(a)) / self._sv
 
     def solve(self, a: np.ndarray) -> np.ndarray:
         """J^+ a, the least-norm x with J x the projection of a onto range(J)."""
-        return self._vh.conj().T @ (self._whiten(a) / self._sv)
+        return self._w.conj().T @ (self._whiten(a) / self._sv)
 
     def quad(self, a: np.ndarray, b: np.ndarray | None = None) -> float:
         """(a, J^+ b) with the Euclidean pairing on coordinates."""
@@ -159,13 +165,11 @@ class FisherOperator:
         return float(np.real(np.vdot(za, zb)))
 
     def kernel_violation(self, a: np.ndarray) -> float:
-        """Norm of the component of a outside the row space of B (ker J)."""
+        """Norm of a's component outside the row space of B (ker J); 0 when W = R^{-H}."""
+        if self._vh is None:
+            return 0.0
         a = np.asarray(a)
         return float(np.linalg.norm(a - self._vh.conj().T @ (self._vh @ a)))
-
-    def in_range(self, a: np.ndarray) -> bool:
-        """Whether a's kernel violation passes _in_range: (a, J^+ a) is finite."""
-        return _in_range(self.kernel_violation(a), a)
 
 
 def _in_range(violation: float, a: np.ndarray) -> bool:

@@ -42,9 +42,10 @@ class ErrorResult:
 
     quad_form is (a, J^+ a), variance is sigma^2(A), kernel_violation is the
     norm of the gradient's residual outside the row space of the Gram factor
-    of J (its component in ker J).  value is quad_form - variance when the
-    gradient is in range, and math.inf otherwise; callers must branch on
-    is_infinite before doing arithmetic.
+    of J (its component in ker J); it is exactly 0 when J has full rank and its
+    factor no zero entry and no more columns than rows.  value is
+    quad_form - variance when the gradient is in range, and math.inf
+    otherwise; callers must branch on is_infinite before doing arithmetic.
     """
 
     quad_form: float

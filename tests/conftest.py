@@ -15,17 +15,17 @@ def rng():
 
 
 @pytest.fixture
-def svd_shapes(monkeypatch):
-    """The shapes of the arrays passed to np.linalg.svd during the test, in call order."""
-    shapes = []
+def svd_calls(monkeypatch):
+    """(shape, compute_uv) of each np.linalg.svd call during the test, in call order."""
+    calls = []
     real = np.linalg.svd
 
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real(a, *args, **kwargs)
+    def recording(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((np.shape(a), compute_uv))
+        return real(a, full_matrices, compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
-    return shapes
+    return calls
 
 
 def qubit_state(rx=0.0, ry=0.0, rz=0.0):

@@ -17,7 +17,7 @@ from urlab import (
     monte_carlo_variance,
     tangent_basis,
 )
-from urlab.classical import _deflate
+from urlab.classical import _deflate, _in_range
 from urlab.errors import (
     InvalidOperandError,
     NoUnbiasedEstimatorError,
@@ -119,7 +119,8 @@ def test_block_svd_matches_dense_svd(seed, shapes, zero_rows, zero_cols, complex
 
 
 def assert_matches_dense_reference(rng, b, rank, complex_):
-    """FisherOperator(b)'s rank, quad, kernel residual, in_range and pinv against one dense SVD."""
+    """FisherOperator(b)'s rank, quad, solve, kernel residual, range rule and pinv
+    against one dense SVD; returns the operator."""
     j = FisherOperator(b)
     r, sv, vh = dense_reference(b)
     assert j.rank == r == rank
@@ -127,12 +128,15 @@ def assert_matches_dense_reference(rng, b, rank, complex_):
     a, c = gaussian(rng, n, complex_), gaussian(rng, n, complex_)
     scale = np.sqrt(j.quad(a) * j.quad(c))
     assert abs(j.quad(a, c) - np.real(np.vdot(vh @ a / sv, vh @ c / sv))) <= 1e-12 * scale
+    x = vh.conj().T @ (vh @ a / sv**2)
+    assert np.linalg.norm(j.solve(a) - x) <= 1e-12 * np.linalg.norm(x)
     for x in (a, j.matrix @ c):  # a generic direction and one in the range
         ref = np.linalg.norm(x - vh.conj().T @ (vh @ x))
         assert abs(j.kernel_violation(x) - ref) <= 1e-12 * np.linalg.norm(x)
-        assert j.in_range(x) == (ref <= 1e-8 * np.linalg.norm(x))
+        assert _in_range(j.kernel_violation(x), x) == (ref <= 1e-8 * np.linalg.norm(x))
     pinv = (vh.conj().T / sv**2) @ vh
     np.testing.assert_allclose(j.pinv, pinv, rtol=0, atol=1e-12 * np.abs(pinv).max())
+    return j
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,7 +180,7 @@ def test_zero_and_empty_factors_have_rank_zero(shape):
     assert j.rank == 0
     if shape[1]:
         a = np.arange(1.0, shape[1] + 1)
-        assert j.quad(a) == 0.0 and not j.in_range(a)
+        assert j.quad(a) == 0.0 and not _in_range(j.kernel_violation(a), a)
         assert j.kernel_violation(a) == np.linalg.norm(a)
         np.testing.assert_array_equal(j.pinv, np.zeros((shape[1], shape[1])))
 
@@ -189,7 +193,7 @@ def test_rank_cut_drops_a_negligible_block():
     b[2:, [0, 4]] = [[1.0, 0.5], [-0.5, 1.0]]
     j = FisherOperator(b)
     assert j.rank == 3
-    assert not j.in_range(np.eye(6)[5])
+    assert not _in_range(j.kernel_violation(np.eye(6)[5]), np.eye(6)[5])
     assert j.quad(np.array([0.0, 1.0, 1.0, 1.0, 0.0, 0.0])) == pytest.approx(1e6, rel=1e-12)
     assert j.quad(np.eye(6)[0]) == pytest.approx(0.8, rel=1e-12)
 
@@ -205,19 +209,58 @@ def mixed_block_factor():
 
 
 @pytest.mark.parametrize(
-    "b, svd_shape, rank",
-    [(np.random.default_rng(5).normal(size=(7, 4)), (7, 4), 4),
-     (mixed_block_factor(), (4, 5), 6),
+    "b, svd_call, rank",
+    [(np.random.default_rng(5).normal(size=(7, 4)), ((4, 4), False), 4),
+     (mixed_block_factor(), ((4, 5), True), 6),
      (np.diag([2.0, -1.0, 0.5, 0.0]), None, 3),
-     (np.random.default_rng(6).normal(size=(40, 6)), (6, 6), 6)],
+     (np.random.default_rng(6).normal(size=(40, 6)), ((6, 6), False), 6)],
     ids=["no-zeros", "mixed-blocks", "diagonal", "tall"],
 )
-def test_one_svd_outside_the_1x1_blocks(svd_shapes, b, svd_shape, rank):
-    # a factor without zeros takes one dense SVD; otherwise the nonzero rows and
-    # columns outside the 1x1 blocks take one SVD, which may be empty; one with
-    # rows >= 2 cols takes it of the (cols, cols) R of its QR
+def test_one_svd_outside_the_1x1_blocks(svd_calls, b, svd_call, rank):
+    # a full-rank factor without zeros and with rows >= cols takes only the
+    # singular values of the (cols, cols) R of its QR; otherwise the nonzero
+    # rows and columns outside the 1x1 blocks take one SVD, which may be empty
     assert FisherOperator(b).rank == rank
-    assert [s for s in svd_shapes if np.prod(s)] == ([svd_shape] if svd_shape else [])
+    assert [c for c in svd_calls if np.prod(c[0])] == ([svd_call] if svd_call else [])
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("rows", [lambda n: n, lambda n: n + 1, lambda n: 3 * n],
+                         ids=["square", "one-more-row", "tall"])
+@pytest.mark.parametrize("rank", [6, 4], ids=["full-rank", "rank-deficient"])
+def test_dense_factor_with_rows_at_least_columns(svd_calls, rows, complex_, rank):
+    # the singular values of its (n, n) triangle come first; a full-rank one
+    # computes no singular vector and, J being invertible, gives no direction a
+    # kernel component, not even a rounding residue; a cut one takes the SVD
+    rng = np.random.default_rng(13)
+    n = 6
+    b = gaussian(rng, (rows(n), rank), complex_) @ gaussian(rng, (rank, n), complex_)
+    FisherOperator(b)
+    assert svd_calls[0] == ((n, n), False)
+    assert [uv for _, uv in svd_calls[1:]] == ([] if rank == n else [True])
+    j = assert_matches_dense_reference(rng, b, rank, complex_)
+    violation = j.kernel_violation(gaussian(rng, n, complex_))
+    assert violation == 0.0 if rank == n else violation > 0.1
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (64, 63)], ids=["square", "64x63"])
+@pytest.mark.parametrize("factor", [1.25, 0.8], ids=["above", "below"])
+def test_triangle_path_cuts_on_the_factor_shape(svd_calls, shape, factor):
+    # s_min a little above or below max(m, n) eps s_max: the singular values of
+    # R decide the path, and the rank agrees with one dense SVD of B
+    rng = np.random.default_rng(15)
+    m, n = shape
+    eps = np.finfo(float).eps
+    u = np.linalg.qr(rng.normal(size=(m, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    b = (u * np.r_[np.linspace(1.0, 0.1, n - 1), factor * m * eps]) @ v.T
+    full = factor > 1
+    s = np.linalg.svd(b if m == n else np.linalg.qr(b, mode="r"), compute_uv=False)
+    assert (s[-1] > m * eps * s[0]) == full
+    svd_calls.clear()
+    j = FisherOperator(b)
+    assert [uv for _, uv in svd_calls] == ([False] if full else [False, True])
+    assert j.rank == dense_reference(b)[0] == (n if full else n - 1)
 
 
 def test_tall_factor_matches_dense_reference():

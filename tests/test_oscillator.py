@@ -163,7 +163,7 @@ def test_dephasing_disturbance_oracle_at_large_cutoffs(nbar, d):
     assert res.value == pytest.approx(variance(s.rho, q) * ((1 - 0.3) ** -2 - 1), rel=1e-12)
 
 
-def test_pushed_sld_factor_takes_one_svd_of_its_diagonal_block(svd_shapes):
+def test_pushed_sld_factor_takes_one_svd_of_its_diagonal_block(svd_calls):
     # in the Fock basis every off-diagonal coordinate is its own 1x1 block, which
     # takes no SVD; the d diagonal entries, less the deflated null vector
     # sqrt(lambda), against the d-1 diagonal Gell-Mann directions form the one
@@ -171,7 +171,7 @@ def test_pushed_sld_factor_takes_one_svd_of_its_diagonal_block(svd_shapes):
     d = 32
     j = quantum_fisher(thermal_state(d, 2.0), SLD_FUNCTION,
                        pushforward=number_dephasing_channel(d, 0.3))
-    assert svd_shapes == [(d - 1, d - 1)]
+    assert svd_calls == [((d - 1, d - 1), True)]
     assert j.rank == d * d - 1
 
 
