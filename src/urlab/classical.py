@@ -9,8 +9,8 @@ qfisher use the same type, so error and disturbance share one quadratic form
 and one J^+ solve.  Each builder deflates the factor's left-null vector known
 in closed form (sqrt(p) here, by the zero-mean score identity), so the rank
 cut never meets its rounding residue.  A B (m x n) without zero entries and with
-m >= n takes only the singular values of the R of its QR; an invertible J then
-whitens by R^{-H}.  Any other B: 1x1 blocks read off, one thin SVD of the rest.
+m >= n is reduced to the R of one QR: an invertible J whitens by R^{-H}, a cut R
+takes one thin SVD.  Any other B: 1x1 blocks read off, one thin SVD of the rest.
 """
 
 from __future__ import annotations
@@ -34,6 +34,17 @@ from .quantum import Povm, QuantumState, _as_state
 P_FLOOR = 1e-12
 
 
+def _as_real(x, message: str, least: float | None = None) -> np.ndarray:
+    """x as floats if it holds finite real numbers, none below least; else InvalidOperandError."""
+    try:  # a ragged nest of sequences raises ValueError
+        a = np.asarray(x)
+    except ValueError:
+        raise InvalidOperandError(message) from None
+    if a.dtype.kind in "biuf" and np.isfinite(a).all() and (least is None or (a >= least).all()):
+        return a.astype(float, copy=False)
+    raise InvalidOperandError(message)
+
+
 @dataclass(frozen=True, eq=False)
 class StatisticalModel:
     """Finite-outcome model: probabilities and scores per tangent direction.
@@ -48,16 +59,14 @@ class StatisticalModel:
     scores: np.ndarray  # shape (n_outcomes, m)
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        scores = np.asarray(self.scores, dtype=float)
+        bad = "probabilities must be nonnegative and scores finite real numbers"
+        probs, scores = _as_real(self.probs, bad, 0.0), _as_real(self.scores, bad)
         if probs.ndim != 1 or scores.ndim != 2 or scores.shape[0] != probs.size:
             raise InvalidOperandError("probs/scores shape mismatch")
         if scores.shape[1] == 0:
             raise InvalidOperandError("scores need at least one tangent direction")
         if len(self.outcomes) != probs.size:
             raise InvalidOperandError("outcomes length mismatch")
-        if not (probs >= 0).all() or not np.isfinite(scores).all():
-            raise InvalidOperandError("probabilities must be nonnegative and scores finite")
         if abs(probs.sum() - 1.0) > 1e-10:
             raise InvalidOperandError(f"probabilities sum to {probs.sum()}")
         mean = probs @ scores
@@ -80,14 +89,6 @@ def _deflate(b: np.ndarray, v: np.ndarray) -> np.ndarray:
     return b[1:] - v[1:, None] * ((v @ b + b[0]) / (1 + v[0]))
 
 
-def _thin_svd(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of b and V^H from one thin SVD; a b with at least twice as
-    many rows as columns takes it of the R of its QR, so U is never formed."""
-    if b.shape[0] >= 2 * b.shape[1]:
-        b = np.linalg.qr(b, mode="r")
-    return np.linalg.svd(b, full_matrices=False)[1:]
-
-
 def _block_svd(b: np.ndarray, nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values of b, which has a zero entry (nz = b != 0), in descending
     order, and the matching rows of V^H.  An entry alone in its row and its column
@@ -100,7 +101,7 @@ def _block_svd(b: np.ndarray, nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r, c = r[alone], c[alone]
     rows, cols = nrow > 0, ncol > 0
     rows[r] = cols[c] = False
-    sv, v = _thin_svd(b[rows][:, cols])
+    _, sv, v = np.linalg.svd(b[rows][:, cols], full_matrices=False)
     sv = np.concatenate([np.abs(b[r, c]), sv])
     order = np.argsort(-sv, kind="stable")
     at = np.argsort(order)  # the sorted position of each singular value
@@ -114,34 +115,35 @@ class FisherOperator:
     """Fisher information J = B^H B, held through its Gram factor B (m x n).
 
     The rank cuts singular values of B (not of J, which would square the
-    condition number) at or below max(m, n) * eps * s_max, with B's shape even
-    where B is first reduced to the square R of its QR (same S and V).  A B with
-    no zero entry and m >= n takes the singular values of R (B itself when
-    square) alone; when none is cut, J^+ = J^{-1} = W^H W with W = R^{-H},
-    z = W a, and ker J = {0}.  Any other B has its 1x1 blocks read off and the
-    rest in one thin SVD B = U S V^H: the kept V_r span range(J), z = S^{-1} V_r^H a,
-    and a leaves the range by a - V_r V_r^H a.  Either way (a, J^+ b) is the dot
-    product of the z of a and of b.  U is never kept; J and its pseudoinverse (a
-    test reference) are derived only on request.
+    condition number) at or below max(m, n) * eps * s_max.  A B with no zero
+    entry and m >= n is reduced to the square R of one QR (B itself when
+    square; same S and V); only R's singular values are taken, and when none
+    is cut J^+ = J^{-1} = W^H W with W = R^{-H} and z = W a.  A cut R, a wide
+    B, or what is left of a B with zeros once its 1x1 blocks are read off takes
+    one thin SVD U S V^H: the kept V_r span range(J) and z = S^{-1} V_r^H a.
+    Either way (a, J^+ b) is z_a . z_b.  The kernel rule is J's alone: at rank
+    n, ker J = {0} and no a has a kernel component; below it, a leaves the
+    range by a - V_r V_r^H a.  U is never kept; J and its pseudoinverse (a test
+    reference) are derived only on request.
     """
 
     def __init__(self, factor: np.ndarray):
-        self.factor = factor
+        self.factor = b = factor
         m, n = factor.shape
         tol = max(m, n) * np.finfo(float).eps
         nz = factor != 0
         dense = nz.all()
         if dense and m >= n > 0:
-            r = np.linalg.qr(factor, mode="r") if m > n else factor
-            sv = np.linalg.svd(r, compute_uv=False)
+            b = np.linalg.qr(factor, mode="r") if m > n else factor  # R: B's S and V
+            sv = np.linalg.svd(b, compute_uv=False)
             if sv[-1] > tol * sv[0]:  # nothing is cut: J is invertible
-                self.rank, self._sv, self._vh = n, 1.0, None  # z = W a; no V, no kernel
-                self._w = np.linalg.inv(r).conj().T
+                self.rank, self._sv, self._vh = n, 1.0, None  # z = W a; no V
+                self._w = np.linalg.inv(b).conj().T
                 return
-        sv, vh = _thin_svd(factor) if dense else _block_svd(factor, nz)
+        sv, vh = np.linalg.svd(b, full_matrices=False)[1:] if dense else _block_svd(factor, nz)
         self.rank = int(np.sum(sv > tol * sv.max(initial=0)))
-        self._sv = sv[: self.rank]
-        self._w = self._vh = vh[: self.rank]
+        self._sv, self._w = sv[: self.rank], vh[: self.rank]
+        self._vh = None if self.rank == n else self._w  # None: ker J = {0}
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -165,7 +167,7 @@ class FisherOperator:
         return float(np.real(np.vdot(za, zb)))
 
     def kernel_violation(self, a: np.ndarray) -> float:
-        """Norm of a's component outside the row space of B (ker J); 0 when W = R^{-H}."""
+        """Norm of a's component outside the row space of B (ker J); exactly 0 at rank n."""
         if self._vh is None:
             return 0.0
         a = np.asarray(a)
@@ -184,11 +186,9 @@ class StochasticKernel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _as_real(self.matrix, "kernel entries must be finite nonnegative numbers", 0.0)
         if m.ndim != 2 or not m.size:
             raise InvalidOperandError("kernel must be a nonempty matrix")
-        if not (m >= 0).all():
-            raise InvalidOperandError("kernel entries must be nonnegative numbers")
         if np.abs(m.sum(axis=0) - 1.0).max() > 1e-12:
             raise InvalidOperandError("kernel columns must sum to 1")
         object.__setattr__(self, "matrix", m)
@@ -288,11 +288,11 @@ def locally_unbiased_estimator(
     gradient is a, and its variance attains the Cramer-Rao bound (a, J^+ a).
     Raises when a has a kernel component: no unbiased estimator exists.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != mod.scores.shape[1:]:
-        raise InvalidOperandError(f"direction has shape {a.shape}, not {mod.scores.shape[1:]}")
-    if not np.isfinite(target_value):
-        raise InvalidOperandError(f"target value {target_value} is not finite")
+    a = _as_real(a, "the direction must be finite real numbers")
+    target_value = _as_real(target_value, "the target value must be a finite real number")
+    if a.shape != mod.scores.shape[1:] or target_value.shape:
+        raise InvalidOperandError(f"direction and target value have shapes {a.shape} and "
+                                  f"{target_value.shape}, not {mod.scores.shape[1:]} and ()")
     j = fisher_operator(mod)
     violation = j.kernel_violation(a)
     if not _in_range(violation, a):
@@ -317,11 +317,9 @@ def monte_carlo_variance(
     """
     n = _as_int(n, "n", InvalidOperandError, 1000)
     seed = _as_int(seed, "seed", InvalidOperandError, 0)
-    values = np.asarray(values, dtype=float)
+    values = _as_real(values, "estimator values must be finite real numbers")
     if values.shape != mod.probs.shape:
         raise InvalidOperandError(f"values have shape {values.shape}, not {mod.probs.shape}")
-    if not np.isfinite(values).all():
-        raise InvalidOperandError("values are not finite")
     rng = np.random.Generator(np.random.Philox(seed))
     idx = rng.choice(mod.n_outcomes, size=n, p=mod.probs)
     draws = values[idx]

@@ -140,11 +140,12 @@ def _extremes(trials: list[dict], table) -> list[Row]:
 
     "le" keeps the largest value (0.0 if no trial reports it), "ge" the
     smallest (inf), "flag" requires every value to be true; a trial that
-    leaves a quantity out does not count for it.
+    leaves a quantity out does not count for it.  A NaN value fails its row.
     """
     rows = []
     for quantity, kind, bound, atol in table:
         values = [t[quantity] for t in trials if quantity in t]
+        values = [v for v in values if v != v] or values  # max drops a NaN not first
         if kind == "le":
             rows.append(le_row(quantity, max(values, default=0.0), bound, atol=atol))
         elif kind == "ge":

@@ -42,8 +42,7 @@ class ErrorResult:
 
     quad_form is (a, J^+ a), variance is sigma^2(A), kernel_violation is the
     norm of the gradient's residual outside the row space of the Gram factor
-    of J (its component in ker J); it is exactly 0 when J has full rank and its
-    factor no zero entry and no more columns than rows.  value is
+    of J (its component in ker J), exactly 0 when J has full rank.  value is
     quad_form - variance when the gradient is in range, and math.inf
     otherwise; callers must branch on is_infinite before doing arithmetic.
     """

@@ -58,8 +58,12 @@ def test_model_validation():
     "probs, scores",
     [([1.2, -0.1, -0.1], np.zeros((3, 1))),
      ([np.nan, 1.0], np.zeros((2, 1))),
-     ([0.5, 0.5], np.array([[np.inf], [-np.inf]]))],
-    ids=["negative-probability", "nan-probability", "infinite-score"],
+     ([0.5, 0.5], np.array([[np.inf], [-np.inf]])),
+     ([0.5, 0.5 + 0j], np.zeros((2, 1))),
+     ([0.5, 0.5], [["1"], ["-1"]]),
+     ([0.5, 0.5], [[1.0], [-1.0, 0.0]])],
+    ids=["negative-probability", "nan-probability", "infinite-score", "complex-probability",
+         "string-score", "ragged-scores"],
 )
 def test_model_rejects_negative_or_non_finite_inputs(probs, scores):
     with pytest.raises(InvalidOperandError, match="nonnegative and scores finite"):
@@ -283,6 +287,31 @@ def test_tall_factor_rank_cut_uses_the_factor_shape():
     assert FisherOperator(b).rank == dense_reference(b)[0] == 5
 
 
+def test_full_rank_block_factor_has_no_kernel():
+    # dense 3x3 and 2x2 blocks on the diagonal take the SVD path; J is
+    # invertible, so no direction has a kernel component, not even the
+    # rounding residue |a - V V^H a| (2e-16 before)
+    rng = np.random.default_rng(17)
+    b = np.zeros((5, 5))
+    b[:3, :3], b[3:, 3:] = rng.normal(size=(3, 3)), rng.normal(size=(2, 2))
+    j = assert_matches_dense_reference(rng, b, 5, False)
+    assert j.kernel_violation(rng.normal(size=5)) == 0.0
+
+
+@pytest.mark.parametrize("rows", [7, 18], ids=["7x6", "18x6"])
+def test_cut_dense_factor_takes_one_qr(monkeypatch, svd_calls, rows):
+    # a rank-4 factor: the SVD that finds the cut and the one that keeps V are
+    # both of the (6, 6) triangle of the one QR
+    qr_shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr_shapes.append(a.shape) or qr(a, mode))
+    rng = np.random.default_rng(19)
+    b = rng.normal(size=(rows, 4)) @ rng.normal(size=(4, 6))
+    assert FisherOperator(b).rank == 4
+    assert qr_shapes == [(rows, 6)]
+    assert svd_calls == [((6, 6), False), ((6, 6), True)]
+
+
 def test_model_from_povm_unsharp_qubit():
     eta = 0.8
     mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(eta))
@@ -397,6 +426,9 @@ def test_locally_unbiased_estimator_moments():
 def test_estimator_direction_needs_one_entry_per_parameter():
     with pytest.raises(InvalidOperandError, match=r"not \(1,\)"):
         locally_unbiased_estimator(bernoulli_model(0.5), np.ones(2), target_value=0.0)
+    # a sequence target raised a raw ValueError; it must not broadcast against the outcomes
+    with pytest.raises(InvalidOperandError, match=r"\(2,\), not \(1,\) and \(\)"):
+        locally_unbiased_estimator(bernoulli_model(0.5), np.ones(1), target_value=[5.0, -3.0])
 
 
 def test_no_unbiased_estimator_for_kernel_direction():

@@ -59,6 +59,15 @@ class TestRows:
         assert math.isnan(row.value)
         assert row.status == "fail"
 
+    @pytest.mark.parametrize("kind, bound", [("le", 2.0), ("ge", 0.0)])
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-last"])
+    def test_nan_trial_fails_its_row_in_either_order(self, kind, bound, nan_first):
+        # builtin max and min drop a NaN that is not first, so the row passed
+        trials = [{"q": math.nan}, {"q": 1.0}]
+        (row,) = scenarios._extremes(trials if nan_first else trials[::-1],
+                                     (("q", kind, bound, 0.0),))
+        assert math.isnan(row.value) and row.status == "fail"
+
     def test_all_pass_ignores_infinite(self):
         rep = RunReport("s", [le_row("a", 1.0, 2.0), le_row("b", math.inf, 2.0)])
         assert rep.all_pass

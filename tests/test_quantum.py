@@ -69,15 +69,30 @@ _MODEL = StatisticalModel(outcomes=(0, 1), probs=np.array([0.5, 0.5]),
         lambda: schur_positivity_report(IDENTITY2, _INF2, IDENTITY2),
         lambda: locally_unbiased_estimator(_MODEL, np.ones(1), target_value=np.nan),
         lambda: monte_carlo_variance(_MODEL, np.array([np.nan, 1.0]), n=1000, seed=0),
+        lambda: StochasticKernel([[1.0 + 0j, 0.0], [0.0, 1.0]]),
+        lambda: StochasticKernel([[1.0, "0"], [0.0, 1.0]]),
+        lambda: StochasticKernel([[1.0, 0.0], [0.0]]),
+        lambda: locally_unbiased_estimator(_MODEL, [1 + 1j], target_value=0.0),
+        lambda: locally_unbiased_estimator(_MODEL, [np.inf], target_value=0.0),
+        lambda: locally_unbiased_estimator(_MODEL, ["1"], target_value=0.0),
+        lambda: locally_unbiased_estimator(_MODEL, np.ones(1), target_value=1j),
+        lambda: monte_carlo_variance(_MODEL, [1j, 0.0], n=1000, seed=0),
+        lambda: monte_carlo_variance(_MODEL, [[0.0], []], n=1000, seed=0),
     ],
     ids=["nan-channel", "inf-channel", "nan-instrument", "nan-function", "nan-off-one",
          "nan-expectation", "inf-expectation", "nan-variance", "inf-variance", "inf-gradient",
          "nan-pinv", "inf-pinv", "inf-state", "nan-state", "inf-observable", "inf-effect",
-         "inf-schur-a", "nan-schur-b", "inf-schur-b", "nan-target", "nan-mc-values"],
+         "inf-schur-a", "nan-schur-b", "inf-schur-b", "nan-target", "nan-mc-values",
+         "complex-kernel", "string-kernel", "ragged-kernel", "complex-direction",
+         "inf-direction", "string-direction", "complex-target", "complex-mc-values",
+         "ragged-mc-values"],
 )
 def test_non_finite_input_is_rejected_before_it_warns(build):
     # NaN slipped through every `residue > tol` test; inf warned inside a matmul or
-    # in a - a^H first, and a non-finite Schur block B stopped eigvalsh from converging
+    # in a - a^H first, and a non-finite Schur block B stopped eigvalsh from converging.
+    # A complex classical input lost its imaginary part with only a ComplexWarning (a
+    # complex target made complex estimator values); a string or ragged one raised a
+    # raw ValueError or TypeError
     with pytest.raises(InvalidOperandError):
         build()
 
