@@ -9,8 +9,9 @@ qfisher use the same type, so error and disturbance share one quadratic form
 and one J^+ solve.  Each builder deflates the factor's left-null vector known
 in closed form (sqrt(p) here, by the zero-mean score identity), so the rank
 cut never meets its rounding residue.  A B (m x n) without zero entries and with
-m >= n is reduced to the R of one QR: an invertible J whitens by R^{-H}, a cut R
-takes one thin SVD.  Any other B: 1x1 blocks read off, one thin SVD of the rest.
+m >= n is reduced to the R of one QR: |R|_F |R^-1|_F certifies an invertible J,
+which whitens by R^{-H}, and R's singular values decide only where it cannot; a
+cut R takes one thin SVD.  Any other B: 1x1 blocks read off, one thin SVD of the rest.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ def _as_real(x, message: str, least: float | None = None) -> np.ndarray:
         a = np.asarray(x)
     except ValueError:
         raise InvalidOperandError(message) from None
-    if a.dtype.kind in "biuf" and np.isfinite(a).all() and (least is None or (a >= least).all()):
+    if a.dtype.kind in "biuf" and (np.isfinite(a).all() if least is None else not a.size
+                                   or a.min() >= least and a.max() < np.inf):  # NaN fails both
         return a.astype(float, copy=False)
     raise InvalidOperandError(message)
 
@@ -114,17 +116,17 @@ def _block_svd(b: np.ndarray, nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class FisherOperator:
     """Fisher information J = B^H B, held through its Gram factor B (m x n).
 
-    The rank cuts singular values of B (not of J, which would square the
-    condition number) at or below max(m, n) * eps * s_max.  A B with no zero
-    entry and m >= n is reduced to the square R of one QR (B itself when
-    square; same S and V); only R's singular values are taken, and when none
-    is cut J^+ = J^{-1} = W^H W with W = R^{-H} and z = W a.  A cut R, a wide
-    B, or what is left of a B with zeros once its 1x1 blocks are read off takes
-    one thin SVD U S V^H: the kept V_r span range(J) and z = S^{-1} V_r^H a.
-    Either way (a, J^+ b) is z_a . z_b.  The kernel rule is J's alone: at rank
-    n, ker J = {0} and no a has a kernel component; below it, a leaves the
-    range by a - V_r V_r^H a.  U is never kept; J and its pseudoinverse (a test
-    reference) are derived only on request.
+    The rank cuts singular values of B (not of J, which would square the condition
+    number) at or below tol * s_max, tol = max(m, n) * eps.  A B with no zero entry and
+    m >= n is reduced to the square R of one QR (B itself when square; same S and V).
+    As s_max / s_min <= |R|_F |R^-1|_F, a product at most 1 / (2 tol) certifies rank n
+    with no SVD; R's singular values decide only an undecided product.  At rank n,
+    J^+ = J^{-1} = W^H W with W = R^{-H} and z = W a.  A cut R, a wide B, or what is
+    left of a B with zeros once its 1x1 blocks are read off takes one thin SVD U S V^H:
+    the kept V_r span range(J) and z = S^{-1} V_r^H a.  Either way (a, J^+ b) is
+    z_a . z_b.  The kernel rule is J's alone: at rank n, ker J = {0} and no a has a
+    kernel component; below it, a leaves the range by a - V_r V_r^H a.  U is never
+    kept; J and its pseudoinverse (a test reference) are derived only on request.
     """
 
     def __init__(self, factor: np.ndarray):
@@ -135,10 +137,14 @@ class FisherOperator:
         dense = nz.all()
         if dense and m >= n > 0:
             b = np.linalg.qr(factor, mode="r") if m > n else factor  # R: B's S and V
-            sv = np.linalg.svd(b, compute_uv=False)
-            if sv[-1] > tol * sv[0]:  # nothing is cut: J is invertible
-                self.rank, self._sv, self._vh = n, 1.0, None  # z = W a; no V
-                self._w = np.linalg.inv(b).conj().T
+            try:
+                w_h = np.linalg.inv(b)  # W^H = R^-1
+            except np.linalg.LinAlgError:  # an exactly singular pivot: the thin SVD cuts
+                w_h = None
+            if w_h is not None and (  # |R|_F^2 |W|_F^2 on Python floats: inf or NaN fails unwarned
+                    float(np.vdot(b, b).real) * float(np.vdot(w_h, w_h).real) <= 0.25 / tol**2
+                    or (sv := np.linalg.svd(b, compute_uv=False))[-1] > tol * sv[0]):
+                self.rank, self._sv, self._vh, self._w = n, 1.0, None, w_h.conj().T  # z = W a
                 return
         sv, vh = np.linalg.svd(b, full_matrices=False)[1:] if dense else _block_svd(factor, nz)
         self.rank = int(np.sum(sv > tol * sv.max(initial=0)))

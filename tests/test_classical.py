@@ -1,5 +1,7 @@
 """Classical models: Fisher operators, pushforwards, estimators, Monte Carlo."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from urlab import (
     monte_carlo_variance,
     tangent_basis,
 )
-from urlab.classical import _deflate, _in_range
+from urlab.classical import _as_real, _deflate, _in_range
 from urlab.errors import (
     InvalidOperandError,
     NoUnbiasedEstimatorError,
@@ -68,6 +70,37 @@ def test_model_validation():
 def test_model_rejects_negative_or_non_finite_inputs(probs, scores):
     with pytest.raises(InvalidOperandError, match="nonnegative and scores finite"):
         StatisticalModel(outcomes=range(len(probs)), probs=probs, scores=scores)
+
+
+def as_real_reference(x, least):
+    """The input rule as two boolean reductions; None for a refused x."""
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        return None
+    if a.dtype.kind in "biuf" and np.isfinite(a).all() and (least is None or (a >= least).all()):
+        return a.astype(float)
+    return None
+
+
+@pytest.mark.parametrize("least", [None, 0.0], ids=["any", "nonnegative"])
+@pytest.mark.parametrize(
+    "x",
+    [[0.5, 0.25], [[1.0, -0.0]], [-1.0, 2.0], [np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0],
+     [0.5, 1j], [[1.0], [1.0, 2.0]], ["1"], [True, False], np.arange(-2, 3), 3.0, np.nan,
+     np.zeros(0), np.zeros((0, 3))],
+    ids=["floats", "negative-zero", "negative", "nan", "inf", "minus-inf", "complex",
+         "ragged", "string", "bool", "int", "scalar", "nan-scalar", "empty", "empty-2d"],
+)
+def test_input_rule_keeps_its_verdicts(x, least):
+    want = as_real_reference(x, least)
+    if want is None:
+        with pytest.raises(InvalidOperandError, match="^bad input$"):
+            _as_real(x, "bad input", least)
+    else:
+        got = _as_real(x, "bad input", least)
+        assert got.dtype == float and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 def test_model_needs_a_tangent_direction():
@@ -214,15 +247,15 @@ def mixed_block_factor():
 
 @pytest.mark.parametrize(
     "b, svd_call, rank",
-    [(np.random.default_rng(5).normal(size=(7, 4)), ((4, 4), False), 4),
+    [(np.random.default_rng(5).normal(size=(7, 4)), None, 4),
      (mixed_block_factor(), ((4, 5), True), 6),
      (np.diag([2.0, -1.0, 0.5, 0.0]), None, 3),
-     (np.random.default_rng(6).normal(size=(40, 6)), ((6, 6), False), 6)],
+     (np.random.default_rng(6).normal(size=(40, 6)), None, 6)],
     ids=["no-zeros", "mixed-blocks", "diagonal", "tall"],
 )
 def test_one_svd_outside_the_1x1_blocks(svd_calls, b, svd_call, rank):
-    # a full-rank factor without zeros and with rows >= cols takes only the
-    # singular values of the (cols, cols) R of its QR; otherwise the nonzero
+    # a well-conditioned factor without zeros and with rows >= cols is certified
+    # of full rank by |R|_F |R^-1|_F and takes no SVD; otherwise the nonzero
     # rows and columns outside the 1x1 blocks take one SVD, which may be empty
     assert FisherOperator(b).rank == rank
     assert [c for c in svd_calls if np.prod(c[0])] == ([svd_call] if svd_call else [])
@@ -233,15 +266,15 @@ def test_one_svd_outside_the_1x1_blocks(svd_calls, b, svd_call, rank):
                          ids=["square", "one-more-row", "tall"])
 @pytest.mark.parametrize("rank", [6, 4], ids=["full-rank", "rank-deficient"])
 def test_dense_factor_with_rows_at_least_columns(svd_calls, rows, complex_, rank):
-    # the singular values of its (n, n) triangle come first; a full-rank one
-    # computes no singular vector and, J being invertible, gives no direction a
-    # kernel component, not even a rounding residue; a cut one takes the SVD
+    # a full-rank one is certified from its (n, n) triangle and that triangle's
+    # inverse: it takes no SVD and, J being invertible, gives no direction a
+    # kernel component, not even a rounding residue; a cut one fails the
+    # certificate, and the triangle's singular values, then its SVD, follow
     rng = np.random.default_rng(13)
     n = 6
     b = gaussian(rng, (rows(n), rank), complex_) @ gaussian(rng, (rank, n), complex_)
     FisherOperator(b)
-    assert svd_calls[0] == ((n, n), False)
-    assert [uv for _, uv in svd_calls[1:]] == ([] if rank == n else [True])
+    assert svd_calls == ([] if rank == n else [((n, n), False), ((n, n), True)])
     j = assert_matches_dense_reference(rng, b, rank, complex_)
     violation = j.kernel_violation(gaussian(rng, n, complex_))
     assert violation == 0.0 if rank == n else violation > 0.1
@@ -250,8 +283,9 @@ def test_dense_factor_with_rows_at_least_columns(svd_calls, rows, complex_, rank
 @pytest.mark.parametrize("shape", [(16, 16), (64, 63)], ids=["square", "64x63"])
 @pytest.mark.parametrize("factor", [1.25, 0.8], ids=["above", "below"])
 def test_triangle_path_cuts_on_the_factor_shape(svd_calls, shape, factor):
-    # s_min a little above or below max(m, n) eps s_max: the singular values of
-    # R decide the path, and the rank agrees with one dense SVD of B
+    # s_min a little above or below max(m, n) eps s_max: |R|_F |R^-1|_F >
+    # 1 / (2 max(m, n) eps) cannot certify either, so the singular values of R
+    # decide the path, and the rank agrees with one dense SVD of B
     rng = np.random.default_rng(15)
     m, n = shape
     eps = np.finfo(float).eps
@@ -259,8 +293,10 @@ def test_triangle_path_cuts_on_the_factor_shape(svd_calls, shape, factor):
     v = np.linalg.qr(rng.normal(size=(n, n)))[0]
     b = (u * np.r_[np.linspace(1.0, 0.1, n - 1), factor * m * eps]) @ v.T
     full = factor > 1
-    s = np.linalg.svd(b if m == n else np.linalg.qr(b, mode="r"), compute_uv=False)
+    r = b if m == n else np.linalg.qr(b, mode="r")
+    s = np.linalg.svd(r, compute_uv=False)
     assert (s[-1] > m * eps * s[0]) == full
+    assert np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r)) > 0.5 / (m * eps)
     svd_calls.clear()
     j = FisherOperator(b)
     assert [uv for _, uv in svd_calls] == ([False] if full else [False, True])
@@ -300,16 +336,77 @@ def test_full_rank_block_factor_has_no_kernel():
 
 @pytest.mark.parametrize("rows", [7, 18], ids=["7x6", "18x6"])
 def test_cut_dense_factor_takes_one_qr(monkeypatch, svd_calls, rows):
-    # a rank-4 factor: the SVD that finds the cut and the one that keeps V are
-    # both of the (6, 6) triangle of the one QR
-    qr_shapes = []
-    qr = np.linalg.qr
+    # a rank-4 factor: the inverse that fails the certificate, the SVD that
+    # finds the cut and the one that keeps V are all of the (6, 6) triangle of
+    # the one QR
+    qr_shapes, inv_shapes = [], []
+    qr, inv = np.linalg.qr, np.linalg.inv
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr_shapes.append(a.shape) or qr(a, mode))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inv_shapes.append(a.shape) or inv(a))
     rng = np.random.default_rng(19)
     b = rng.normal(size=(rows, 4)) @ rng.normal(size=(4, 6))
     assert FisherOperator(b).rank == 4
-    assert qr_shapes == [(rows, 6)]
+    assert qr_shapes == [(rows, 6)] and inv_shapes == [(6, 6)]
     assert svd_calls == [((6, 6), False), ((6, 6), True)]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("rows", [lambda n: n, lambda n: n + 1, lambda n: 4 * n],
+                         ids=["square", "one-more-row", "tall"])
+def test_certificate_sweep_from_well_conditioned_to_cut(svd_calls, rows, complex_):
+    # s_min from s_max down to half the cut tol s_max: |R|_F |R^-1|_F <= 1 / (2 tol)
+    # takes no SVD, an undecided product takes R's singular values, and a cut one
+    # the SVD too; the rank is always that of one dense SVD of B
+    rng = np.random.default_rng(23)
+    n = 12
+    m = rows(n)
+    tol = m * np.finfo(float).eps
+    u = np.linalg.qr(gaussian(rng, (m, n), complex_))[0]
+    v = np.linalg.qr(gaussian(rng, (n, n), complex_))[0]
+    seen = set()
+    for s_min in np.r_[np.geomspace(1.0, 30 * tol, 8), 3 * tol, 1.5 * tol, 0.5 * tol]:
+        b = (u * np.r_[np.linspace(1.0, 0.1, n - 1), s_min]) @ v.conj().T
+        r = b if m == n else np.linalg.qr(b, mode="r")
+        certified = np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r)) <= 0.5 / tol
+        rank = dense_reference(b)[0]
+        svd_calls.clear()
+        assert FisherOperator(b).rank == rank
+        calls = [] if certified else [False] if rank == n else [False, True]
+        assert [uv for _, uv in svd_calls] == calls
+        seen.add(len(calls))
+    assert seen == {0, 1, 2}
+
+
+def test_exactly_singular_dense_factor(svd_calls):
+    # LU meets an exact zero pivot, so inv raises; the thin SVD cuts the rank
+    j = FisherOperator(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    assert j.rank == 1 and svd_calls == [((2, 2), True)]
+    assert j.quad(np.array([1.0, 2.0])) == pytest.approx(0.2, rel=1e-14)
+    assert not _in_range(j.kernel_violation(np.array([2.0, -1.0])), np.array([2.0, -1.0]))
+
+
+def overflowing_triangle():
+    """Unit diagonal, -1e30 above it and the least subnormal below: R^-1 holds inf."""
+    b = np.triu(np.full((12, 12), -1e30), 1) + np.eye(12)
+    b[np.tril_indices(12, -1)] = 5e-324
+    return b
+
+
+@pytest.mark.parametrize(
+    "b, svd_calls_made",
+    [(np.random.default_rng(29).normal(size=(9, 6)) * 1e-150, []),
+     (np.random.default_rng(29).normal(size=(9, 6)) * 1e150, []),
+     (overflowing_triangle(), [((12, 12), False), ((12, 12), True)])],
+    ids=["scaled-1e-150", "scaled-1e150", "overflowing-inverse"],
+)
+def test_certificate_never_warns(svd_calls, b, svd_calls_made):
+    # |R|_F |R^-1|_F is scale free, and an overflowing or NaN norm fails it
+    # silently: the singular values decide
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = FisherOperator(b)
+    assert svd_calls == svd_calls_made
+    assert j.rank == dense_reference(b)[0]
 
 
 def test_model_from_povm_unsharp_qubit():

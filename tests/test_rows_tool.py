@@ -4,7 +4,10 @@ import importlib.util
 import json
 import pathlib
 
+import numpy as np
 import pytest
+
+from urlab import FisherOperator
 
 _SPEC = importlib.util.spec_from_file_location(
     "rows", pathlib.Path(__file__).parents[1] / "tools" / "rows.py"
@@ -18,6 +21,8 @@ BASE = {
     "instrument-ic/0.eps_a.kernel_violation": 2e-16,
     "instrument-ic/0.eps_a.quad_form": float("nan"),
     "instrument-ic/0.holds": True,
+    "fisher/00000": "64x63 rank 63 inverse",
+    "fisher/00001": "2x2 rank 1 svd",
 }
 
 
@@ -48,9 +53,21 @@ def test_moved_values_print_their_relative_change(tmp_path, capsys):
     "change",
     [{"verify-all@0/classical.q.status": "fail"},
      {"instrument-ic/0.holds": False},
-     {"instrument-ic/0.holds": None}],
-    ids=["status", "verdict", "missing"],
+     {"instrument-ic/0.holds": None},
+     {"fisher/00000": "64x63 rank 63 svd"},
+     {"fisher/00000": "64x63 rank 62 svd"},
+     {"fisher/00001": None}],
+    ids=["status", "verdict", "missing", "census-form", "census-rank", "census-count"],
 )
 def test_a_changed_status_or_verdict_exits_1(tmp_path, capsys, change):
     assert _diff(tmp_path, change) == 1
     assert capsys.readouterr().out.startswith("CHANGED ")
+
+
+def test_census_records_each_fisher_operator_built_in_the_block():
+    with rows.fisher_census() as built:
+        FisherOperator(np.random.default_rng(0).normal(size=(5, 3)))  # dense, of full rank
+        FisherOperator(np.diag([1.0, 0.0]))  # with zeros, cut
+        FisherOperator(np.ones((3, 2)))  # dense, cut
+    FisherOperator(np.eye(2))  # after the block: not recorded
+    assert built == ["5x3 rank 3 inverse", "2x2 rank 1 svd", "3x2 rank 1 svd"]

@@ -7,13 +7,17 @@ dump runs the urlab found on the path: run_verify("all", trials=200) at seeds
 0, 7 and 14, every scenario at its defaults, the oscillator at cutoffs (24, 32)
 and (24, 40), and the 40 error-disturbance reports of perfbench's instrument-ic
 workload at seed 0.  A dump is one flat JSON object: a row gives KEY.value and
-KEY.status, a report every dataclass field and its three verdicts.  A string or
-bool is a status or verdict; a number is a value.  diff prints each value that
-moved with its relative change, and each status or verdict that changed or is
-in one dump only; it exits 1 on any of the latter.  Point PYTHONPATH at another
-checkout to dump that tree, and diff the two dumps.
+KEY.status, a report every dataclass field and its three verdicts, and
+fisher/NNNNN the census of the NNNNN-th FisherOperator those runs built, as
+"MxN rank R FORM" with FORM "inverse" (J^-1 held through R^-H) or "svd".  A
+string or bool is a status, verdict or census entry; a number is a value.  diff
+prints each value that moved with its relative change, and each status,
+verdict or census entry that changed or is in one dump only; it exits 1 on any
+of the latter.  Point PYTHONPATH at another checkout to dump that tree, and diff
+the two dumps.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -32,22 +36,42 @@ def _flat(prefix: str, obj, out: dict) -> None:
             out[f"{prefix}.{key}"] = float(value)
 
 
+@contextlib.contextmanager
+def fisher_census():
+    """Yield a list that gets "MxN rank R FORM" for each FisherOperator built in the block."""
+    from urlab.classical import FisherOperator
+
+    built, init = [], FisherOperator.__init__
+
+    def recording(self, factor):
+        init(self, factor)
+        form = "inverse" if np.ndim(self._sv) == 0 else "svd"  # the inverse form keeps _sv = 1
+        built.append(f"{factor.shape[0]}x{factor.shape[1]} rank {self.rank} {form}")
+
+    FisherOperator.__init__ = recording
+    try:
+        yield built
+    finally:
+        FisherOperator.__init__ = init
+
+
 def dump(path: str) -> None:
     import urlab  # here, so that diff runs without urlab on the path
     from perfbench.workloads import instrument_ic
     from urlab.scenarios import ScenarioConfig, run_scenario, run_verify, scenario_names
 
-    runs = [(f"verify-all@{s}", run_verify("all", trials=200, seed=s)) for s in (0, 7, 14)]
-    runs += [(n, run_scenario(ScenarioConfig(n))) for n in scenario_names()]
-    runs += [(f"oscillator@{c}", run_scenario(ScenarioConfig("oscillator", cutoffs=c)))
-             for c in ((24, 32), (24, 40))]
-    out = {}
+    with fisher_census() as built:
+        runs = [(f"verify-all@{s}", run_verify("all", trials=200, seed=s)) for s in (0, 7, 14)]
+        runs += [(n, run_scenario(ScenarioConfig(n))) for n in scenario_names()]
+        runs += [(f"oscillator@{c}", run_scenario(ScenarioConfig("oscillator", cutoffs=c)))
+                 for c in ((24, 32), (24, 40))]
+        reports = [op() for op in instrument_ic(0, urlab).ops]
+    out = {f"fisher/{i:05d}": entry for i, entry in enumerate(built)}
     for name, report in runs:
         for r in report.rows:
             out[f"{name}/{r.quantity}.value"] = float(r.value)
             out[f"{name}/{r.quantity}.status"] = r.status
-    for i, op in enumerate(instrument_ic(0, urlab).ops):
-        rep = op()
+    for i, rep in enumerate(reports):
         verdicts = {k: getattr(rep, k) for k in ("holds", "domination_a", "domination_b")}
         _flat(f"instrument-ic/{i}", {**dataclasses.asdict(rep), **verdicts}, out)
     with open(path, "w") as f:
