@@ -35,14 +35,14 @@ from .quantum import Povm, QuantumState, _as_state
 P_FLOOR = 1e-12
 
 
-def _as_real(x, message: str, least: float | None = None) -> np.ndarray:
+def _as_real(x, message: str, least: float = -np.inf) -> np.ndarray:
     """x as floats if it holds finite real numbers, none below least; else InvalidOperandError."""
     try:  # a ragged nest of sequences raises ValueError
         a = np.asarray(x)
     except ValueError:
         raise InvalidOperandError(message) from None
-    if a.dtype.kind in "biuf" and (np.isfinite(a).all() if least is None else not a.size
-                                   or a.min() >= least and a.max() < np.inf):  # NaN fails both
+    if a.dtype.kind in "biuf" and (not a.size  # NaN fails every comparison
+                                   or least <= a.min() > -np.inf and a.max() < np.inf):
         return a.astype(float, copy=False)
     raise InvalidOperandError(message)
 

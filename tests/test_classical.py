@@ -78,12 +78,12 @@ def as_real_reference(x, least):
         a = np.asarray(x)
     except ValueError:
         return None
-    if a.dtype.kind in "biuf" and np.isfinite(a).all() and (least is None or (a >= least).all()):
+    if a.dtype.kind in "biuf" and np.isfinite(a).all() and (a >= least).all():
         return a.astype(float)
     return None
 
 
-@pytest.mark.parametrize("least", [None, 0.0], ids=["any", "nonnegative"])
+@pytest.mark.parametrize("least", [-np.inf, 0.0], ids=["any", "nonnegative"])
 @pytest.mark.parametrize(
     "x",
     [[0.5, 0.25], [[1.0, -0.0]], [-1.0, 2.0], [np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0],
@@ -396,12 +396,17 @@ def overflowing_triangle():
     "b, svd_calls_made",
     [(np.random.default_rng(29).normal(size=(9, 6)) * 1e-150, []),
      (np.random.default_rng(29).normal(size=(9, 6)) * 1e150, []),
+     (np.random.default_rng(29).normal(size=(9, 6)) * 1e160, [((6, 6), False)]),
+     (np.random.default_rng(29).normal(size=(9, 6)) * 1e-160, [((6, 6), False)]),
+     (np.random.default_rng(29).normal(size=(9, 6)) * 1e200, [((6, 6), False)]),
      (overflowing_triangle(), [((12, 12), False), ((12, 12), True)])],
-    ids=["scaled-1e-150", "scaled-1e150", "overflowing-inverse"],
+    ids=["scaled-1e-150", "scaled-1e150", "r-norm-overflows", "inverse-norm-overflows",
+         "inf-times-zero", "overflowing-inverse"],
 )
 def test_certificate_never_warns(svd_calls, b, svd_calls_made):
-    # |R|_F |R^-1|_F is scale free, and an overflowing or NaN norm fails it
-    # silently: the singular values decide
+    # |R|_F |R^-1|_F is scale free.  A squared norm that overflows from finite
+    # entries (scaled by 1e160 or 1e-160), an inf times an underflowed 0 (1e200)
+    # and an inverse holding inf fail it silently: the singular values decide
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         j = FisherOperator(b)
