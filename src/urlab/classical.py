@@ -10,8 +10,8 @@ and one J^+ solve.  Each builder deflates the factor's left-null vector known
 in closed form (sqrt(p) here, by the zero-mean score identity), so the rank
 cut never meets its rounding residue.  A B (m x n) without zero entries and with
 m >= n is reduced to the R of one QR: |R|_F |R^-1|_F certifies an invertible J,
-which whitens by R^{-H}, and R's singular values decide only where it cannot; a
-cut R takes one thin SVD.  Any other B: 1x1 blocks read off, one thin SVD of the rest.
+which whitens by R^{-H}; an R it does not certify takes one thin SVD.  Any other
+B: 1x1 blocks read off, one thin SVD of the rest.
 """
 
 from __future__ import annotations
@@ -120,13 +120,13 @@ class FisherOperator:
     number) at or below tol * s_max, tol = max(m, n) * eps.  A B with no zero entry and
     m >= n is reduced to the square R of one QR (B itself when square; same S and V).
     As s_max / s_min <= |R|_F |R^-1|_F, a product at most 1 / (2 tol) certifies rank n
-    with no SVD; R's singular values decide only an undecided product.  At rank n,
-    J^+ = J^{-1} = W^H W with W = R^{-H} and z = W a.  A cut R, a wide B, or what is
-    left of a B with zeros once its 1x1 blocks are read off takes one thin SVD U S V^H:
-    the kept V_r span range(J) and z = S^{-1} V_r^H a.  Either way (a, J^+ b) is
-    z_a . z_b.  The kernel rule is J's alone: at rank n, ker J = {0} and no a has a
-    kernel component; below it, a leaves the range by a - V_r V_r^H a.  U is never
-    kept; J and its pseudoinverse (a test reference) are derived only on request.
+    with no SVD, and then J^+ = J^{-1} = W^H W with W = R^{-H} and z = W a.  An R it
+    does not certify, a wide B, or what is left of a B with zeros once its 1x1 blocks
+    are read off takes one thin SVD U S V^H: the kept V_r span range(J) and
+    z = S^{-1} V_r^H a.  Either way (a, J^+ b) is z_a . z_b.  The kernel rule is J's
+    alone: at rank n, ker J = {0} and no a has a kernel component; below it, a leaves
+    the range by a - V_r V_r^H a.  U is never kept; J and its pseudoinverse (a test
+    reference) are derived only on request.
     """
 
     def __init__(self, factor: np.ndarray):
@@ -142,8 +142,7 @@ class FisherOperator:
             except np.linalg.LinAlgError:  # an exactly singular pivot: the thin SVD cuts
                 w_h = None
             if w_h is not None and (  # |R|_F^2 |W|_F^2 on Python floats: inf or NaN fails unwarned
-                    float(np.vdot(b, b).real) * float(np.vdot(w_h, w_h).real) <= 0.25 / tol**2
-                    or (sv := np.linalg.svd(b, compute_uv=False))[-1] > tol * sv[0]):
+                    float(np.vdot(b, b).real) * float(np.vdot(w_h, w_h).real) <= 0.25 / tol**2):
                 self.rank, self._sv, self._vh, self._w = n, 1.0, None, w_h.conj().T  # z = W a
                 return
         sv, vh = np.linalg.svd(b, full_matrices=False)[1:] if dense else _block_svd(factor, nz)
@@ -177,12 +176,18 @@ class FisherOperator:
         if self._vh is None:
             return 0.0
         a = np.asarray(a)
-        return float(np.linalg.norm(a - self._vh.conj().T @ (self._vh @ a)))
+        return _norm(a - self._vh.conj().T @ (self._vh @ a))
+
+
+def _norm(x: np.ndarray) -> float:
+    """|x| of x scaled exactly by the power of 2 of its largest entry: no square overflows."""
+    s = 2.0 ** -max(int(np.frexp(np.abs(x).max(initial=0.0))[1]), -1000)
+    return float(np.linalg.norm(x * s)) / s
 
 
 def _in_range(violation: float, a: np.ndarray) -> bool:
     """The range rule: a kernel violation at most 1e-8 of |a| puts a in range(J)."""
-    return violation <= 1e-8 * max(np.linalg.norm(a), 1e-300)
+    return violation <= 1e-8 * max(_norm(a), 1e-300)
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,7 +62,7 @@ def _merge_config(path: str, kwargs: dict, defaulted: set) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, bad JSON, too long an int
         raise UrlabError(f"config {path}: {exc}") from exc
     if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("params", {}), dict):
         raise UrlabError(f"config {path}: expected a JSON object with an object 'params'")

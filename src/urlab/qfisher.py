@@ -122,7 +122,7 @@ def quantum_cr_check(s: QuantumState | np.ndarray, m: Povm) -> CramerRaoReport:
     rld = quantum_fisher(s, RLD_FUNCTION)
     js, jr = sld.matrix, rld.matrix
     sld_gap = float(np.linalg.eigvalsh(js - jm).min())
-    rld_gap = float(np.linalg.eigvalsh(jr - jm.astype(complex)).min())
+    rld_gap = float(np.linalg.eigvalsh(jr - jm).min())
     holds = sld_gap >= -1e-8 * max(np.linalg.norm(js), 1.0) and rld_gap >= -1e-8 * max(
         np.linalg.norm(jr), 1.0
     )

@@ -124,11 +124,15 @@ class ScenarioConfig:
             cutoffs = tuple(_as_int(c, "cutoff") for c in self.cutoffs)
         except TypeError:
             raise UrlabError(f"cutoffs must be a list of integers, got {self.cutoffs!r}") from None
-        params = dict(self.params)
-        for key, value in params.items():  # a bool is an int, but true is not eta = 1
+        params = {}
+        for key, value in dict(self.params).items():  # a bool is an int, but true is not eta = 1
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise UrlabError(f"param {key!r} is not a number: {value!r}")
-        object.__setattr__(self, "params", {k: float(v) for k, v in params.items()})
+            try:
+                params[key] = float(value)
+            except OverflowError:  # an int past the float range, too long to repeat
+                raise UrlabError(f"param {key!r} is out of the float range") from None
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "cutoffs", cutoffs)
 
     def param(self, key: str, default: float) -> float:
@@ -432,7 +436,7 @@ def _uncertainty_trial(rng, dims: range, t: int) -> dict:
             jm.quad(phi) - max(js.quad(phi), jr.quad(phi)) + 1e-8
         )
 
-    cchi = basis.coords(basis.matrix(rng.normal(size=basis.size)))
+    cchi = rng.normal(size=basis.size)
     # the minimizing member of the SLD-optimal family is the PVM of
     # L^S((J^S)^+ chi), whose expectation gradient is exactly chi
     mopt = sld_optimal_pvm(s, basis.matrix(js.solve(cchi)))

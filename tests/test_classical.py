@@ -155,11 +155,12 @@ def test_block_svd_matches_dense_svd(seed, shapes, zero_rows, zero_cols, complex
     assert_matches_dense_reference(rng, b, sum(min(p, q) for p, q in shapes), complex_)
 
 
-def assert_matches_dense_reference(rng, b, rank, complex_):
+def assert_matches_dense_reference(rng, b, rank, complex_, ref_factor=None):
     """FisherOperator(b)'s rank, quad, solve, kernel residual, range rule and pinv
-    against one dense SVD; returns the operator."""
+    against one dense SVD, of ref_factor (a factor of the same J) if given, else of b;
+    returns the operator."""
     j = FisherOperator(b)
-    r, sv, vh = dense_reference(b)
+    r, sv, vh = dense_reference(b if ref_factor is None else ref_factor)
     assert j.rank == r == rank
     n = b.shape[1]
     a, c = gaussian(rng, n, complex_), gaussian(rng, n, complex_)
@@ -269,12 +270,12 @@ def test_dense_factor_with_rows_at_least_columns(svd_calls, rows, complex_, rank
     # a full-rank one is certified from its (n, n) triangle and that triangle's
     # inverse: it takes no SVD and, J being invertible, gives no direction a
     # kernel component, not even a rounding residue; a cut one fails the
-    # certificate, and the triangle's singular values, then its SVD, follow
+    # certificate and takes the one thin SVD of the triangle
     rng = np.random.default_rng(13)
     n = 6
     b = gaussian(rng, (rows(n), rank), complex_) @ gaussian(rng, (rank, n), complex_)
     FisherOperator(b)
-    assert svd_calls == ([] if rank == n else [((n, n), False), ((n, n), True)])
+    assert svd_calls == ([] if rank == n else [((n, n), True)])
     j = assert_matches_dense_reference(rng, b, rank, complex_)
     violation = j.kernel_violation(gaussian(rng, n, complex_))
     assert violation == 0.0 if rank == n else violation > 0.1
@@ -284,8 +285,8 @@ def test_dense_factor_with_rows_at_least_columns(svd_calls, rows, complex_, rank
 @pytest.mark.parametrize("factor", [1.25, 0.8], ids=["above", "below"])
 def test_triangle_path_cuts_on_the_factor_shape(svd_calls, shape, factor):
     # s_min a little above or below max(m, n) eps s_max: |R|_F |R^-1|_F >
-    # 1 / (2 max(m, n) eps) cannot certify either, so the singular values of R
-    # decide the path, and the rank agrees with one dense SVD of B
+    # 1 / (2 max(m, n) eps) cannot certify either, so the one thin SVD of R
+    # decides, and the rank agrees with one dense SVD of B
     rng = np.random.default_rng(15)
     m, n = shape
     eps = np.finfo(float).eps
@@ -299,7 +300,7 @@ def test_triangle_path_cuts_on_the_factor_shape(svd_calls, shape, factor):
     assert np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r)) > 0.5 / (m * eps)
     svd_calls.clear()
     j = FisherOperator(b)
-    assert [uv for _, uv in svd_calls] == ([False] if full else [False, True])
+    assert svd_calls == [((n, n), True)]
     assert j.rank == dense_reference(b)[0] == (n if full else n - 1)
 
 
@@ -336,9 +337,9 @@ def test_full_rank_block_factor_has_no_kernel():
 
 @pytest.mark.parametrize("rows", [7, 18], ids=["7x6", "18x6"])
 def test_cut_dense_factor_takes_one_qr(monkeypatch, svd_calls, rows):
-    # a rank-4 factor: the inverse that fails the certificate, the SVD that
-    # finds the cut and the one that keeps V are all of the (6, 6) triangle of
-    # the one QR
+    # a rank-4 factor: the inverse that fails the certificate and the one SVD,
+    # which finds the cut and keeps V, are both of the (6, 6) triangle of the
+    # one QR
     qr_shapes, inv_shapes = [], []
     qr, inv = np.linalg.qr, np.linalg.inv
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr_shapes.append(a.shape) or qr(a, mode))
@@ -347,7 +348,7 @@ def test_cut_dense_factor_takes_one_qr(monkeypatch, svd_calls, rows):
     b = rng.normal(size=(rows, 4)) @ rng.normal(size=(4, 6))
     assert FisherOperator(b).rank == 4
     assert qr_shapes == [(rows, 6)] and inv_shapes == [(6, 6)]
-    assert svd_calls == [((6, 6), False), ((6, 6), True)]
+    assert svd_calls == [((6, 6), True)]
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
@@ -355,8 +356,11 @@ def test_cut_dense_factor_takes_one_qr(monkeypatch, svd_calls, rows):
                          ids=["square", "one-more-row", "tall"])
 def test_certificate_sweep_from_well_conditioned_to_cut(svd_calls, rows, complex_):
     # s_min from s_max down to half the cut tol s_max: |R|_F |R^-1|_F <= 1 / (2 tol)
-    # takes no SVD, an undecided product takes R's singular values, and a cut one
-    # the SVD too; the rank is always that of one dense SVD of B
+    # takes no SVD, and any other product the one thin SVD of R; the rank is always
+    # that of one dense SVD of B.  An undecided full-rank factor takes the SVD form
+    # and matches the dense SVD of R in every product.  Not that of B: at s_min
+    # near tol, two SVDs computed apart differ by about eps s_max / s_min, and on
+    # the n+1-row factor (a, J^+ c) moves by up to 2e-2 between them
     rng = np.random.default_rng(23)
     n = 12
     m = rows(n)
@@ -371,10 +375,12 @@ def test_certificate_sweep_from_well_conditioned_to_cut(svd_calls, rows, complex
         rank = dense_reference(b)[0]
         svd_calls.clear()
         assert FisherOperator(b).rank == rank
-        calls = [] if certified else [False] if rank == n else [False, True]
-        assert [uv for _, uv in svd_calls] == calls
+        calls = [] if certified else [((n, n), True)]
+        assert svd_calls == calls
         seen.add(len(calls))
-    assert seen == {0, 1, 2}
+        if not certified and rank == n:
+            assert_matches_dense_reference(rng, b, rank, complex_, ref_factor=r)
+    assert seen == {0, 1}
 
 
 def test_exactly_singular_dense_factor(svd_calls):
@@ -396,17 +402,17 @@ def overflowing_triangle():
     "b, svd_calls_made",
     [(np.random.default_rng(29).normal(size=(9, 6)) * 1e-150, []),
      (np.random.default_rng(29).normal(size=(9, 6)) * 1e150, []),
-     (np.random.default_rng(29).normal(size=(9, 6)) * 1e160, [((6, 6), False)]),
-     (np.random.default_rng(29).normal(size=(9, 6)) * 1e-160, [((6, 6), False)]),
-     (np.random.default_rng(29).normal(size=(9, 6)) * 1e200, [((6, 6), False)]),
-     (overflowing_triangle(), [((12, 12), False), ((12, 12), True)])],
+     (np.random.default_rng(29).normal(size=(9, 6)) * 1e160, [((6, 6), True)]),
+     (np.random.default_rng(29).normal(size=(9, 6)) * 1e-160, [((6, 6), True)]),
+     (np.random.default_rng(29).normal(size=(9, 6)) * 1e200, [((6, 6), True)]),
+     (overflowing_triangle(), [((12, 12), True)])],
     ids=["scaled-1e-150", "scaled-1e150", "r-norm-overflows", "inverse-norm-overflows",
          "inf-times-zero", "overflowing-inverse"],
 )
 def test_certificate_never_warns(svd_calls, b, svd_calls_made):
     # |R|_F |R^-1|_F is scale free.  A squared norm that overflows from finite
     # entries (scaled by 1e160 or 1e-160), an inf times an underflowed 0 (1e200)
-    # and an inverse holding inf fail it silently: the singular values decide
+    # and an inverse holding inf fail it silently: the one thin SVD decides
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         j = FisherOperator(b)
@@ -538,6 +544,26 @@ def test_no_unbiased_estimator_for_kernel_direction():
     mod = model_from_povm(IDENTITY2 / 2, unsharp_z_povm(0.8))
     with pytest.raises(NoUnbiasedEstimatorError):
         locally_unbiased_estimator(mod, basis.coords(SIGMA_X), target_value=0.0)
+
+
+@pytest.mark.parametrize("k", [0, 500, 531])
+@pytest.mark.parametrize("direction, in_range", [((1.0, -1.0), False), ((1.0, 1.0), True)],
+                         ids=["kernel", "range"])
+def test_range_rule_is_scale_free(k, direction, in_range):
+    # a rank-1 model whose kernel is spanned by (1, -1).  At 2^531 the squares in
+    # |a| overflow, yet 2^k a gets the verdict of a, unwarned, with its violation
+    # and estimator values scaled exactly by 2^k
+    mod = StatisticalModel(outcomes=(0, 1), probs=np.array([0.5, 0.5]),
+                           scores=np.array([[1.0, 1.0], [-1.0, -1.0]]))
+    a = np.array(direction)
+    j = fisher_operator(mod)
+    assert j.kernel_violation(2.0**k * a) == 2.0**k * j.kernel_violation(a)
+    if not in_range:
+        with pytest.raises(NoUnbiasedEstimatorError):
+            locally_unbiased_estimator(mod, 2.0**k * a, target_value=0.0)
+        return
+    values = locally_unbiased_estimator(mod, 2.0**k * a, target_value=0.0).values
+    np.testing.assert_array_equal(values, 2.0**k * locally_unbiased_estimator(mod, a, 0.0).values)
 
 
 def test_monte_carlo_variance_matches_model():

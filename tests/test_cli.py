@@ -286,14 +286,17 @@ class TestScenarioCommand:
         [{"seed": 3, "bogus": 1}, [{"seed": 3}], {"params": {"eta": "high"}},
          {"dim": 3}, {"seed": 1.5}, {"cutoffs": ["a"]}, {"cutoffs": 8},
          {"params": {"etaa": 0.9}}, {"cutoffs": [4, 8]}, {"seed": True},
-         {"params": {"trials": True}}, {"params": {"eta": True}}, {"name": "qubit-instrument"}],
+         {"params": {"trials": True}}, {"params": {"eta": True}}, {"name": "qubit-instrument"},
+         '{"params": {"eta": 1%s}}' % ("0" * 400), '{"params": {"eta": 1%s}}' % ("0" * 5000)],
         ids=["unknown-key", "not-an-object", "non-numeric-param", "unknown-dim-key",
              "float-seed", "non-integer-cutoff", "scalar-cutoffs", "unknown-param",
-             "unread-cutoffs", "boolean-seed", "boolean-trials", "boolean-eta", "other-name"],
+             "unread-cutoffs", "boolean-seed", "boolean-trials", "boolean-eta", "other-name",
+             "int-past-float-range", "int-past-str-limit"],
     )
     def test_bad_config_is_click_error(self, runner, tmp_path, content):
+        # a string is written as it stands: json.dumps cannot write a 5001-digit int
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(content))
+        cfg.write_text(content if isinstance(content, str) else json.dumps(content))
         res = runner.invoke(
             main, ["scenario", "qubit-unsharp", "--config", str(cfg)]
         )

@@ -21,8 +21,8 @@ BASE = {
     "instrument-ic/0.eps_a.kernel_violation": 2e-16,
     "instrument-ic/0.eps_a.quad_form": float("nan"),
     "instrument-ic/0.holds": True,
-    "fisher/00000": "64x63 rank 63 inverse",
-    "fisher/00001": "2x2 rank 1 svd",
+    "fisher/00000": "64x63 rank 63 inverse 0",
+    "fisher/00001": "2x2 rank 1 svd 1",
 }
 
 
@@ -54,10 +54,12 @@ def test_moved_values_print_their_relative_change(tmp_path, capsys):
     [{"verify-all@0/classical.q.status": "fail"},
      {"instrument-ic/0.holds": False},
      {"instrument-ic/0.holds": None},
-     {"fisher/00000": "64x63 rank 63 svd"},
-     {"fisher/00000": "64x63 rank 62 svd"},
+     {"fisher/00000": "64x63 rank 63 svd 1"},
+     {"fisher/00000": "64x63 rank 62 svd 1"},
+     {"fisher/00001": "2x2 rank 1 svd 2"},
      {"fisher/00001": None}],
-    ids=["status", "verdict", "missing", "census-form", "census-rank", "census-count"],
+    ids=["status", "verdict", "missing", "census-form", "census-rank", "census-svd-calls",
+         "census-count"],
 )
 def test_a_changed_status_or_verdict_exits_1(tmp_path, capsys, change):
     assert _diff(tmp_path, change) == 1
@@ -65,9 +67,12 @@ def test_a_changed_status_or_verdict_exits_1(tmp_path, capsys, change):
 
 
 def test_census_records_each_fisher_operator_built_in_the_block():
+    svd = np.linalg.svd
     with rows.fisher_census() as built:
         FisherOperator(np.random.default_rng(0).normal(size=(5, 3)))  # dense, of full rank
         FisherOperator(np.diag([1.0, 0.0]))  # with zeros, cut
+        np.linalg.svd(np.eye(2))  # outside a build: not counted
         FisherOperator(np.ones((3, 2)))  # dense, cut
     FisherOperator(np.eye(2))  # after the block: not recorded
-    assert built == ["5x3 rank 3 inverse", "2x2 rank 1 svd", "3x2 rank 1 svd"]
+    assert built == ["5x3 rank 3 inverse 0", "2x2 rank 1 svd 1", "3x2 rank 1 svd 1"]
+    assert np.linalg.svd is svd

@@ -9,12 +9,12 @@ and (24, 40), and the 40 error-disturbance reports of perfbench's instrument-ic
 workload at seed 0.  A dump is one flat JSON object: a row gives KEY.value and
 KEY.status, a report every dataclass field and its three verdicts, and
 fisher/NNNNN the census of the NNNNN-th FisherOperator those runs built, as
-"MxN rank R FORM" with FORM "inverse" (J^-1 held through R^-H) or "svd".  A
-string or bool is a status, verdict or census entry; a number is a value.  diff
-prints each value that moved with its relative change, and each status,
-verdict or census entry that changed or is in one dump only; it exits 1 on any
-of the latter.  Point PYTHONPATH at another checkout to dump that tree, and diff
-the two dumps.
+"MxN rank R FORM K" with FORM "inverse" (J^-1 held through R^-H) or "svd" and K
+the np.linalg.svd calls its build made.  A string or bool is a status, verdict
+or census entry; a number is a value.  diff prints each value that moved with
+its relative change, and each status, verdict or census entry that changed or
+is in one dump only; it exits 1 on any of the latter.  Point PYTHONPATH at
+another checkout to dump that tree, and diff the two dumps.
 """
 
 import contextlib
@@ -38,21 +38,26 @@ def _flat(prefix: str, obj, out: dict) -> None:
 
 @contextlib.contextmanager
 def fisher_census():
-    """Yield a list that gets "MxN rank R FORM" for each FisherOperator built in the block."""
+    """Yield a list that gets "MxN rank R FORM K" for each FisherOperator built in the block."""
     from urlab.classical import FisherOperator
 
-    built, init = [], FisherOperator.__init__
+    built, init, svd, svds = [], FisherOperator.__init__, np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        svds.append(None)
+        return svd(*args, **kwargs)
 
     def recording(self, factor):
+        svds.clear()
         init(self, factor)
         form = "inverse" if np.ndim(self._sv) == 0 else "svd"  # the inverse form keeps _sv = 1
-        built.append(f"{factor.shape[0]}x{factor.shape[1]} rank {self.rank} {form}")
+        built.append(f"{factor.shape[0]}x{factor.shape[1]} rank {self.rank} {form} {len(svds)}")
 
-    FisherOperator.__init__ = recording
+    FisherOperator.__init__, np.linalg.svd = recording, counting
     try:
         yield built
     finally:
-        FisherOperator.__init__ = init
+        FisherOperator.__init__, np.linalg.svd = init, svd
 
 
 def dump(path: str) -> None:
