@@ -96,7 +96,7 @@ def _block_svd(b: np.ndarray, nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order, and the matching rows of V^H.  An entry alone in its row and its column
     has singular value |b_rc| and V^H row e_c (its phase goes to U, not kept); the
     other nonzero rows and columns take one thin SVD."""
-    nrow, ncol = np.count_nonzero(nz, axis=1), np.count_nonzero(nz, axis=0)
+    nrow, ncol = np.add.reduce(nz, 1, np.int32), np.add.reduce(nz, 0, np.int32)
     r = np.flatnonzero(nrow == 1)
     c = nz[r].argmax(axis=1)
     alone = ncol[c] == 1  # the row's only nonzero is also its column's only one

@@ -62,8 +62,11 @@ def _merge_config(path: str, kwargs: dict, defaulted: set) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, bad JSON, too long an int
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UrlabError(f"config {path}: {exc}") from exc
+    except ValueError as exc:  # all json.load leaves: int() past Python's digit limit
+        n = sys.get_int_max_str_digits()
+        raise UrlabError(f"config {path}: holds an integer of more than {n} digits") from exc
     if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("params", {}), dict):
         raise UrlabError(f"config {path}: expected a JSON object with an object 'params'")
     unknown = set(file_cfg) - {f.name for f in fields(ScenarioConfig)}

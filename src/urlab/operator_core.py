@@ -99,10 +99,10 @@ class TangentBasis:
     antisymmetric off-diagonal pairs (row-major), then diagonal elements
     (generalized Gell-Mann diagonals), so coordinate vectors are reproducible
     across runs.  Only the (j < k) index pair and the (d - 1) x d Gell-Mann
-    matrix G are kept.  inner reads each entry of a matrix once, O(d^2) per
-    matrix; coords reads the same entries but computes only the real
-    coordinates, with real arithmetic; matrix is two scatters and a product
-    with G.
+    matrix G are kept.  inner gathers each entry of a matrix once, O(d^2) per
+    matrix, and _combine does all its arithmetic (the pushed Fisher factor
+    gathers from its Choi tensor itself); coords computes only the real
+    coordinates; matrix is two scatters and a product with G.
     """
 
     dim: int
@@ -117,32 +117,36 @@ class TangentBasis:
     def size(self) -> int:
         return self.dim * self.dim - 1
 
-    def _pair_entries(self, y: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """y_jk and y_kj over the pairs j < k, and an empty (..., d^2 - 1) output of dtype.
-
-        The output is laid out entry-major in memory, the layout numpy gives the
-        gathers, so no ufunc that writes into it transposes.
-        """
+    def _pair_entries(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y_jk and y_kj over the pairs j < k of a (..., d, d) stack, gathered copies."""
         if y.shape[-2:] != (self.dim, self.dim):
             raise InvalidDimensionError(f"shape {y.shape} does not end in {(self.dim,) * 2}")
         j, k = self._pairs
-        lead = y.shape[:-2]
-        out = np.empty((self.size,) + lead, dtype).transpose(*range(1, len(lead) + 1), 0)
-        return y[..., j, k], y[..., k, j], out
+        return y[..., j, k], y[..., k, j]
+
+    def _empty(self, lead: tuple, dtype) -> np.ndarray:
+        """An empty (*lead, d^2 - 1) output of dtype laid out entry-major in memory, the
+        layout numpy gives the gathers, so no ufunc that writes into it transposes."""
+        return np.empty((self.size,) + lead, dtype).transpose(*range(1, len(lead) + 1), 0)
 
     def inner(self, y: np.ndarray) -> np.ndarray:
-        """Tr[e_a^H y] for every element e_a and every matrix y of a (..., d, d) stack.
+        """Tr[e_a^H y] for every element e_a and every matrix y of a (..., d, d) stack:
+        its pair entries and diagonal are gathered here and combined by _combine."""
+        y = np.asarray(y, complex)
+        return self._combine(*self._pair_entries(y), y.diagonal(0, -2, -1))
 
-        With up = y_jk / sqrt 2 and lo = y_kj / sqrt 2 over the pairs j < k:
-        up + lo, i (up - lo), then G diag(y).
-        """
-        y, w = np.asarray(y), 1 / 2**0.5
-        up, lo, out = self._pair_entries(y, complex)
-        up, lo, p = up * w, lo * w, up.shape[-1]
+    def _combine(self, up: np.ndarray, lo: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        """inner from a stack's complex y_jk (up) and y_kj (lo) over the pairs j < k and its
+        diagonal, gathered by the caller.  With up and lo scaled by 1 / sqrt 2 in place
+        (the caller gives them up): up + lo, i (up - lo), then G diag(y)."""
+        w, p = 1 / 2**0.5, up.shape[-1]
+        up *= w
+        lo *= w
+        out = self._empty(up.shape[:-1], complex)
         np.add(up, lo, out=out[..., :p])
         np.subtract(up, lo, out=out[..., p : 2 * p])
         out[..., p : 2 * p] *= 1j
-        np.matmul(y.diagonal(0, -2, -1), self._gell_mann.T, out=out[..., 2 * p :])
+        np.matmul(diag, self._gell_mann.T, out=out[..., 2 * p :])
         return out
 
     def coords(self, x: np.ndarray) -> np.ndarray:
@@ -155,8 +159,8 @@ class TangentBasis:
         Only one matrix's G Re diag(x), which numpy hands to BLAS, may round apart.
         """
         x, w = np.asarray(x), 1 / 2**0.5
-        up, lo, out = self._pair_entries(x, float)
-        p = up.shape[-1]
+        out, p = self._empty(x.shape[:-2], float), self._pairs[0].size  # before the gathers:
+        up, lo = self._pair_entries(x)  # after them, a 520-effect call faults 174 pages, not 110
         np.add(up.real * w, lo.real * w, out=out[..., :p])
         np.subtract(lo.imag * w, up.imag * w, out=out[..., p : 2 * p])
         np.matmul(x.real.diagonal(0, -2, -1), self._gell_mann.T, out=out[..., 2 * p :])

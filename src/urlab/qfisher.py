@@ -72,31 +72,34 @@ def _pushed_fisher(
     Tr[h_a^H h_b] with h_a = (u^H E(e_a) u) / sqrt(c_f), the columns of a Gram factor.
     With K' = u^H K (K' = u^H without a channel), the Choi-form tensor
     t[i,j,m,k] = sum_l K'_l[i,j] conj(K'_l[m,k]) is one matmul, and
-    (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] is tangent_basis(d).inner of t with
-    axes ordered (i, m, k, j), because e_a is Hermitian.  So is h_a: t is gathered
-    before inner only at the pairs (i, m) the factor reads.  The d' rows h_a[i,i], less
-    their left-null vector sqrt(l) of sigma, come first, then sqrt(2) h_a[i,m] (i < m) as
-    real and imaginary parts (SLD) or h_a[i,m] for i < m and then for i > m.
+    (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] is tangent_basis(d).inner of t[i,:,m,:]^T,
+    because e_a is Hermitian.  So is h_a: inner's gather is read straight out of t, one flat
+    index each, at the pairs (i, m) the factor reads, and t is freed before the combine.  The
+    d' rows h_a[i,i], less their left-null vector sqrt(l) of sigma, come first, then sqrt(2)
+    h_a[i,m] (i < m) as real and imaginary parts (SLD) or h_a[i,m] for i < m and then i > m.
     """
     sigma = rho if pushforward is None else pushforward(rho)
     k = kf_superoperator(sigma, f)
     uh = k.state_eigenvectors.conj().T
     kp = uh[None] if pushforward is None else uh @ pushforward.kraus
     _, dp, d = kp.shape
-    flat = kp.reshape(-1, dp * d)
-    t = (flat.T @ flat.conj()).reshape(dp, d, dp, d)
+    flat, s = kp.reshape(-1, dp * d), dp * d
+    t = (flat.T @ flat.conj()).reshape(-1)  # t[i,j,m,k] at (i s + j) s + m d + k
     sld = f is SLD_FUNCTION  # by identity: another f named "sld" need not be symmetric
     (r, c), n, parts = _index_maps(dp)[0], np.arange(dp), 2 if sld else 3
     i, m = np.concatenate([n, r, c][:parts]), np.concatenate([n, c, r][:parts])
-    h = tangent_basis(d).inner(t.transpose(0, 2, 3, 1)[i, m])  # h[pair, a]
+    (j, q), at = _index_maps(d)[0], ((i * s + m) * d)[:, None]
+    y = [t[at + o] for o in (q * s + j, j * s + q, np.arange(d) * (s + 1))]  # y_jq, y_qj, diag
+    del t
+    h = tangent_basis(d)._combine(*y)  # h[pair, a]
     h *= (1 / np.sqrt(k.coefficients[i, m]))[:, None]  # bit for bit numpy's h / sqrt(c), faster
     # c_f(l, l) = l f(1) = l, so sum_i sqrt(l_i) h_a[i, i] = Tr E(e_a) = 0
     diag, off = _deflate(h[:dp], np.sqrt(k.state_eigenvalues)), h[dp:]
-    if sld:
-        # h_a is Hermitian: its d'^2 real coordinates carry the real form Tr[h_a h_b]
+    if sld:  # h_a is Hermitian: its d'^2 real coordinates carry the real form Tr[h_a h_b]
         off *= np.sqrt(2)
-        return FisherOperator(np.concatenate([diag.real, off.real, off.imag])), k
-    return FisherOperator(np.concatenate([diag, off])), k
+    factor = np.concatenate([diag.real, off.real, off.imag] if sld else [diag, off])
+    del y, h, off  # the gather and h are freed before FisherOperator's own arrays
+    return FisherOperator(factor), k
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,7 @@ class TestScenarioCommand:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output.startswith("Error: ")
+        assert "set_int_max_str_digits" not in res.output  # no Python call for a CLI user
 
 
     @pytest.mark.parametrize("kind", ["directory", "non-utf8"])

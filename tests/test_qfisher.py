@@ -1,5 +1,7 @@
 """Quantum Fisher operators: log derivatives, closed forms, CR checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,10 @@ from urlab import (
     tangent_basis,
     variance,
 )
+from urlab.classical import _deflate
 from urlab.errors import InvalidOperandError
+from urlab.operator_core import kf_superoperator
+from urlab.oscillator import number_dephasing_channel, thermal_state
 from urlab.randoms import (
     random_channel,
     random_hermitian,
@@ -199,24 +204,68 @@ def test_fisher_matrix_matches_metric_entries(f):
     np.testing.assert_allclose(j, ref, atol=1e-12 * np.abs(ref).max())
 
 
+def _pair_stack_factor(rho, f, ch):
+    # the pushed factor as TangentBasis.inner reads it from the (P, d, d) stack of the
+    # slices t[i, :, m, :]^T at the pairs (i, m): no flat index into t is shared
+    k = kf_superoperator(rho if ch is None else ch(rho), f)
+    uh = k.state_eigenvectors.conj().T
+    kp = uh[None] if ch is None else uh @ ch.kraus
+    _, dp, d = kp.shape
+    flat = kp.reshape(-1, dp * d)
+    t = (flat.T @ flat.conj()).reshape(dp, d, dp, d)
+    (r, c), n, parts = np.triu_indices(dp, 1), np.arange(dp), 2 if f is SLD_FUNCTION else 3
+    i, m = np.concatenate([n, r, c][:parts]), np.concatenate([n, c, r][:parts])
+    h = tangent_basis(d).inner(t.transpose(0, 2, 3, 1)[i, m])
+    h *= (1 / np.sqrt(k.coefficients[i, m]))[:, None]
+    diag, off = _deflate(h[:dp], np.sqrt(k.state_eigenvalues)), h[dp:]
+    if f is SLD_FUNCTION:
+        off *= np.sqrt(2)
+        return np.concatenate([diag.real, off.real, off.imag])
+    return np.concatenate([diag, off])
+
+
 @pytest.mark.parametrize("f", [SLD_FUNCTION, RLD_FUNCTION, BOGOLIUBOV_FUNCTION])
-@pytest.mark.parametrize("d_in, d_out, n_kraus", [(2, 3, 2), (3, 2, 3), (3, 1, 3)])
+@pytest.mark.parametrize(
+    "d_in, d_out, n_kraus",
+    [(2, 3, 2), (3, 2, 3), (3, 1, 3), (3, 3, 2), (3, 3, 0), (16, 16, "oscillator")],
+)
 def test_pushed_fisher_matches_metric_entries_on_non_square_channels(f, d_in, d_out, n_kraus):
     # the Choi-form factor reshapes (k, d', d) Kraus stacks; d' != d tells the axes apart.
     # Onto one level every E(e_a) = Tr[e_a] is 0: there are no i < m rows, and the
-    # reference is rounding, so its scale is floored
+    # reference is rounding, so its scale is floored.  n_kraus 0 is no channel; the
+    # oscillator is the thermal state under number dephasing, as in the oscillator sweep
     gen = rng_from_seed(12)
-    z = gen.normal(size=(n_kraus * d_out, d_in)) + 1j * gen.normal(size=(n_kraus * d_out, d_in))
-    ch = KrausChannel(kraus=np.linalg.qr(z)[0].reshape(n_kraus, d_out, d_in))
-    s = random_state(gen, d_in)
-    basis = tangent_basis(d_in)
-    sigma = ch(s.rho)
-    images = ch(basis.matrix(np.eye(basis.size)))
-    ref = _REFERENCES[f](sigma, images)
+    if n_kraus == "oscillator":
+        s, ch = thermal_state(d_in, 1.0), number_dephasing_channel(d_in, 0.3)
+    else:
+        z = gen.normal(size=(n_kraus * d_out, d_in)) + 1j * gen.normal(size=(n_kraus * d_out, d_in))
+        kraus = np.linalg.qr(z)[0].reshape(n_kraus, d_out, d_in)
+        s, ch = random_state(gen, d_in), KrausChannel(kraus=kraus) if n_kraus else None
     j = quantum_fisher(s, f, pushforward=ch)
-    np.testing.assert_allclose(j.matrix, ref, atol=1e-12 * max(np.abs(ref).max(), 1e-12))
+    if d_in < 16 or f is not BOGOLIUBOV_FUNCTION:  # at 16 its quadrature would take 200 MB
+        basis = tangent_basis(d_in)
+        push = (lambda x: x) if ch is None else ch
+        ref = _REFERENCES[f](push(s.rho), push(basis.matrix(np.eye(basis.size))))
+        np.testing.assert_allclose(j.matrix, ref, atol=1e-12 * max(np.abs(ref).max(), 1e-12))
+    # the direct gather reads the entries the pair stack held, so the factor keeps every bit
+    want = _pair_stack_factor(s.rho, f, ch)
+    assert j.factor.dtype == want.dtype and j.factor.tobytes() == want.tobytes()
     if d_out == 1:
         assert j.factor.shape == (0, d_in * d_in - 1) and j.rank == 0
+
+
+def test_pushed_fisher_holds_less_than_two_choi_tensors():
+    # at d = 16 the Choi tensor t is 1 MiB; the build frees it before inner's combine and
+    # holds beside it only the gathered pair entries, not a (P, d, d) stack copied out of t
+    s, ch = thermal_state(16, 1.0), number_dephasing_channel(16, 0.3)
+    quantum_fisher(s, SLD_FUNCTION, ch)  # the index maps are built once per dimension
+    tracemalloc.start()
+    try:
+        quantum_fisher(s, SLD_FUNCTION, ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (16 * 16) ** 2 * 16
 
 
 def test_pushed_fisher_of_a_channel_trace_preserving_only_to_1e_10():
