@@ -23,7 +23,8 @@ def _report_options(command):
 
 
 def _finish(build, out: str | None, fmt: str) -> None:
-    """Build the report, print its rows and write it; a UrlabError becomes a ClickException."""
+    """Build the report, print its rows and write it; a UrlabError, or an allocation
+    numpy refuses, becomes a ClickException."""
     try:
         report = build()
         for row in report.rows:
@@ -36,6 +37,8 @@ def _finish(build, out: str | None, fmt: str) -> None:
             click.echo(f"wrote {fmt} report to {out}")
     except UrlabError as exc:
         raise click.ClickException(str(exc)) from exc
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        raise click.ClickException(f"out of memory: {exc}") from exc
     if not report.all_pass:
         sys.exit(1)
 

@@ -99,10 +99,10 @@ class TangentBasis:
     antisymmetric off-diagonal pairs (row-major), then diagonal elements
     (generalized Gell-Mann diagonals), so coordinate vectors are reproducible
     across runs.  Only the (j < k) index pair and the (d - 1) x d Gell-Mann
-    matrix G are kept.  inner gathers each entry of a matrix once, O(d^2) per
-    matrix, and _combine does all its arithmetic (the pushed Fisher factor
-    gathers from its Choi tensor itself); coords computes only the real
-    coordinates; matrix is two scatters and a product with G.
+    matrix G are kept.  _combine forms the complex pairings Tr[e_a^H y] from the
+    pair entries and diagonal its caller gathers, O(d^2) per matrix (the pushed
+    Fisher factor gathers them from its Choi tensor); coords gathers a stack and
+    computes only the real coordinates; matrix is two scatters and a product with G.
     """
 
     dim: int
@@ -117,28 +117,16 @@ class TangentBasis:
     def size(self) -> int:
         return self.dim * self.dim - 1
 
-    def _pair_entries(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """y_jk and y_kj over the pairs j < k of a (..., d, d) stack, gathered copies."""
-        if y.shape[-2:] != (self.dim, self.dim):
-            raise InvalidDimensionError(f"shape {y.shape} does not end in {(self.dim,) * 2}")
-        j, k = self._pairs
-        return y[..., j, k], y[..., k, j]
-
     def _empty(self, lead: tuple, dtype) -> np.ndarray:
         """An empty (*lead, d^2 - 1) output of dtype laid out entry-major in memory, the
         layout numpy gives the gathers, so no ufunc that writes into it transposes."""
         return np.empty((self.size,) + lead, dtype).transpose(*range(1, len(lead) + 1), 0)
 
-    def inner(self, y: np.ndarray) -> np.ndarray:
-        """Tr[e_a^H y] for every element e_a and every matrix y of a (..., d, d) stack:
-        its pair entries and diagonal are gathered here and combined by _combine."""
-        y = np.asarray(y, complex)
-        return self._combine(*self._pair_entries(y), y.diagonal(0, -2, -1))
-
     def _combine(self, up: np.ndarray, lo: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        """inner from a stack's complex y_jk (up) and y_kj (lo) over the pairs j < k and its
-        diagonal, gathered by the caller.  With up and lo scaled by 1 / sqrt 2 in place
-        (the caller gives them up): up + lo, i (up - lo), then G diag(y)."""
+        """Tr[e_a^H y] for every element e_a and every matrix y of a stack, from its complex
+        y_jk (up) and y_kj (lo) over the pairs j < k and its diagonal, gathered by the
+        caller.  With up and lo scaled by 1 / sqrt 2 in place (the caller gives them up):
+        up + lo, i (up - lo), then G diag(y)."""
         w, p = 1 / 2**0.5, up.shape[-1]
         up *= w
         lo *= w
@@ -153,14 +141,16 @@ class TangentBasis:
         """Real coordinates Re Tr[e_a^H x] of every matrix x of a (..., d, d) stack.
 
         For a Hermitian x these are the coordinates of its traceless part.  They
-        are inner's real parts, computed from the real and imaginary parts alone
+        are _combine's real parts, computed from the real and imaginary parts alone
         with the same per-term scaling: with up = x_jk and lo = x_kj, Re up / sqrt 2
         + Re lo / sqrt 2, then Im lo / sqrt 2 - Im up / sqrt 2, then G Re diag(x).
         Only one matrix's G Re diag(x), which numpy hands to BLAS, may round apart.
         """
-        x, w = np.asarray(x), 1 / 2**0.5
-        out, p = self._empty(x.shape[:-2], float), self._pairs[0].size  # before the gathers:
-        up, lo = self._pair_entries(x)  # after them, a 520-effect call faults 174 pages, not 110
+        x, w, (j, k) = np.asarray(x), 1 / 2**0.5, self._pairs
+        if x.shape[-2:] != (self.dim, self.dim):
+            raise InvalidDimensionError(f"shape {x.shape} does not end in {(self.dim,) * 2}")
+        out, p = self._empty(x.shape[:-2], float), j.size  # before the gathers: after
+        up, lo = x[..., j, k], x[..., k, j]  # them, a 520-effect call faults 174 pages, not 110
         np.add(up.real * w, lo.real * w, out=out[..., :p])
         np.subtract(lo.imag * w, up.imag * w, out=out[..., p : 2 * p])
         np.matmul(x.real.diagonal(0, -2, -1), self._gell_mann.T, out=out[..., 2 * p :])

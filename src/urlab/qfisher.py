@@ -72,11 +72,12 @@ def _pushed_fisher(
     Tr[h_a^H h_b] with h_a = (u^H E(e_a) u) / sqrt(c_f), the columns of a Gram factor.
     With K' = u^H K (K' = u^H without a channel), the Choi-form tensor
     t[i,j,m,k] = sum_l K'_l[i,j] conj(K'_l[m,k]) is one matmul, and
-    (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] is tangent_basis(d).inner of t[i,:,m,:]^T,
-    because e_a is Hermitian.  So is h_a: inner's gather is read straight out of t, one flat
-    index each, at the pairs (i, m) the factor reads, and t is freed before the combine.  The
-    d' rows h_a[i,i], less their left-null vector sqrt(l) of sigma, come first, then sqrt(2)
-    h_a[i,m] (i < m) as real and imaginary parts (SLD) or h_a[i,m] for i < m and then i > m.
+    (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] = Tr[e_a^H t[i,:,m,:]^T], because e_a is
+    Hermitian.  So is h_a.  The pair entries and diagonal of each t[i,:,m,:]^T are gathered
+    straight out of t, one flat index each, at the pairs (i, m) the factor reads; t is freed,
+    and TangentBasis._combine pairs them with every e_a.  The d' rows h_a[i,i], less their
+    left-null vector sqrt(l) of sigma, come first, then sqrt(2) h_a[i,m] (i < m) as real and
+    imaginary parts (SLD) or h_a[i,m] for i < m and then i > m.
     """
     sigma = rho if pushforward is None else pushforward(rho)
     k = kf_superoperator(sigma, f)

@@ -14,6 +14,7 @@ are tagged, never fed into float arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,24 +92,21 @@ def joint_povm(ins: CpInstrument, pvm: Povm) -> Povm:
     effect(x, y) = sum_k K_{x,k}^dagger Pi_y K_{x,k}: the instrument followed
     by the PVM Pi on its output.  Its first marginal is the POVM induced by
     the instrument; its second marginal is the average-channel adjoint of Pi.
-    Any PVM on the output space will do.  The effects take two products: one
-    GEMM [K_1^H; ...; K_n^H] [Pi_1 ... Pi_Y] over all Kraus operators and
-    projectors, then, batched over the Kraus operators, the stacked blocks
-    [K_k^H Pi_1; ...; K_k^H Pi_Y] times K_k, so each is (K^H Pi) K.  Only an
-    instrument with a multi-operator Kraus set sums over its sets.
+    Any PVM on the output space will do.  The effects are one batched product
+    K_k^H Pi_y K_k over every Kraus operator k and projector y, whose (k, y)
+    order is already the outcomes' x-major order; only an instrument with a
+    multi-operator Kraus set sums over its sets.
     """
     if not pvm.is_projective():
         raise InvalidOperandError("second argument must be a projective measurement")
     if pvm.dim != ins.channel.dim_out:
         raise InvalidOperandError("instrument output and PVM dimension mismatch")
-    outcomes = tuple((x, y) for x in ins.outcomes for y in pvm.outcomes)
-    k, pi = ins.channel.kraus, pvm.effects
-    (n, rows, cols), ny = k.shape, len(pi)
-    kh_pi = dagger(k).reshape(n * cols, rows) @ pi.swapaxes(0, 1).reshape(rows, ny * rows)
-    effects = (kh_pi.reshape(n, cols * ny, rows) @ k).reshape(n, cols, ny, cols)
-    if len(ins.starts) < n:
+    k = ins.channel.kraus
+    effects = dagger(k)[:, None] @ pvm.effects @ k[:, None]  # (n, ny, d, d)
+    if len(ins.starts) < len(k):
         effects = np.add.reduceat(effects, ins.starts)
-    return Povm(outcomes=outcomes, effects=effects.swapaxes(1, 2).reshape(-1, cols, cols))
+    return Povm(outcomes=tuple(itertools.product(ins.outcomes, pvm.outcomes)),
+                effects=effects.reshape(-1, *effects.shape[2:]))
 
 
 @dataclass(frozen=True)

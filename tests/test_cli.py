@@ -446,6 +446,17 @@ class TestSweepCommand:
         assert res.exit_code == 1
         assert "Error: mean photon number must be positive and finite" in res.output
 
+    def test_refused_allocation_is_click_error(self, runner, monkeypatch):
+        # a cutoff of 100000 asks numpy for 74.5 GiB; the stand-in raises without allocating
+        def refuse(cfg):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr("urlab.cli.run_scenario", refuse)
+        res = runner.invoke(main, ["sweep", "oscillator", "--cutoffs", "8,100000"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: out of memory: Unable to allocate 74.5 GiB" in res.output
+
     def test_bad_cutoffs(self, runner):
         res = runner.invoke(main, ["sweep", "oscillator", "--cutoffs", "8,x"])
         assert res.exit_code != 0

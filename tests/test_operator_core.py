@@ -117,7 +117,7 @@ def test_basis_matrix_rejects_wrong_coordinate_count():
     with pytest.raises(InvalidDimensionError):
         tangent_basis(3).matrix(np.zeros(3))
     with pytest.raises(InvalidDimensionError):
-        tangent_basis(3).inner(np.eye(2))
+        tangent_basis(3).coords(np.eye(2))
 
 
 def test_coords_matrix_round_trip(rng):
@@ -126,6 +126,13 @@ def test_coords_matrix_round_trip(rng):
     x = basis.matrix(coeffs)
     np.testing.assert_allclose(basis.coords(x), coeffs, atol=1e-12)
     np.testing.assert_allclose(basis.matrix(basis.coords(x)), x, atol=1e-12)
+
+
+def _inner(basis, y):
+    # Tr[e_a^H y] for every matrix y of a stack: _combine of a test-local gather of
+    # y's pair entries and diagonal, as the pushed Fisher factor gathers from its Choi tensor
+    (j, k), y = basis._pairs, np.asarray(y, complex)
+    return basis._combine(y[..., j, k], y[..., k, j], y.diagonal(0, -2, -1))
 
 
 def _dense_basis(dim):
@@ -162,10 +169,10 @@ def test_stacked_coords_and_matrix_match_dense_basis(dim):
         np.testing.assert_allclose(basis.coords(stack), want, atol=1e-14)
         c = gen.normal(size=stack.shape[:-2] + (basis.size,))
         np.testing.assert_allclose(basis.matrix(c), np.einsum("...a,aij->...ij", c, dense), atol=1e-14)
-    # inner is the complex pairing, also on non-Hermitian input (Choi slices)
+    # _combine is the complex pairing, also on non-Hermitian input (Choi slices)
     y = random_complex(gen, (2, 7, dim, dim))
     want = np.einsum("aij,...ij->...a", dense.conj(), y)
-    np.testing.assert_allclose(basis.inner(y), want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_inner(basis, y), want, rtol=0, atol=1e-14)
     # a matrix with nonzero trace has the coordinates of its traceless part
     y = x[0, 0] + 3.0 * np.eye(dim)
     np.testing.assert_allclose(basis.coords(y), basis.coords(project_traceless(y)), atol=1e-14)
@@ -228,22 +235,23 @@ def test_is_hermitian_matches_the_per_matrix_loop(seed, d, n, cplx, magnitude, l
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_coords_are_the_real_part_of_inner(dim):
     # coords computes only Re Tr[e_a^H x], from x's real and imaginary parts, and must
-    # equal inner's real part bit for bit on stacks, Hermitian or not, in any layout
+    # equal the complex pairing's real part bit for bit on stacks, Hermitian or not, in
+    # any layout
     gen = rng_from_seed(40 + dim)
     basis = tangent_basis(dim)
     herm = np.array([random_hermitian(gen, dim) for _ in range(6)])
     for y in (herm, herm.reshape(2, 3, dim, dim), random_complex(gen, (5, dim, dim)),
               _laid_out(random_complex(gen, (4, dim, dim)), "transposed")):
-        got, want = basis.coords(y), basis.inner(y).real
+        got, want = basis.coords(y), _inner(basis, y).real
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    # numpy hands a single diagonal to BLAS, complex in inner and real in coords, whose
+    # numpy hands a single diagonal to BLAS, complex in _combine and real in coords, whose
     # sums may round apart: the Gell-Mann coordinates then agree to rounding only
     for y in (herm[0], herm[:1]):
-        np.testing.assert_allclose(basis.coords(y), basis.inner(y).real, rtol=0, atol=1e-15 * dim)
+        np.testing.assert_allclose(basis.coords(y), _inner(basis, y).real, rtol=0, atol=1e-15 * dim)
     # a real input takes the same route; its imaginary parts read as zeros
     x = herm.real
-    np.testing.assert_array_equal(basis.coords(x), basis.inner(x).real)
+    np.testing.assert_array_equal(basis.coords(x), _inner(basis, x).real)
     np.testing.assert_array_equal(basis.coords(x), basis.coords(x.astype(complex)))
 
 

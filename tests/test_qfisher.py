@@ -205,8 +205,8 @@ def test_fisher_matrix_matches_metric_entries(f):
 
 
 def _pair_stack_factor(rho, f, ch):
-    # the pushed factor as TangentBasis.inner reads it from the (P, d, d) stack of the
-    # slices t[i, :, m, :]^T at the pairs (i, m): no flat index into t is shared
+    # the pushed factor as _combine pairs it with the entries gathered from the (P, d, d)
+    # stack of the slices t[i, :, m, :]^T at the pairs (i, m): no flat index into t is shared
     k = kf_superoperator(rho if ch is None else ch(rho), f)
     uh = k.state_eigenvectors.conj().T
     kp = uh[None] if ch is None else uh @ ch.kraus
@@ -215,7 +215,9 @@ def _pair_stack_factor(rho, f, ch):
     t = (flat.T @ flat.conj()).reshape(dp, d, dp, d)
     (r, c), n, parts = np.triu_indices(dp, 1), np.arange(dp), 2 if f is SLD_FUNCTION else 3
     i, m = np.concatenate([n, r, c][:parts]), np.concatenate([n, c, r][:parts])
-    h = tangent_basis(d).inner(t.transpose(0, 2, 3, 1)[i, m])
+    y, basis = t.transpose(0, 2, 3, 1)[i, m], tangent_basis(d)
+    j, q = basis._pairs
+    h = basis._combine(y[..., j, q], y[..., q, j], y.diagonal(0, -2, -1))
     h *= (1 / np.sqrt(k.coefficients[i, m]))[:, None]
     diag, off = _deflate(h[:dp], np.sqrt(k.state_eigenvalues)), h[dp:]
     if f is SLD_FUNCTION:
@@ -255,7 +257,7 @@ def test_pushed_fisher_matches_metric_entries_on_non_square_channels(f, d_in, d_
 
 
 def test_pushed_fisher_holds_less_than_two_choi_tensors():
-    # at d = 16 the Choi tensor t is 1 MiB; the build frees it before inner's combine and
+    # at d = 16 the Choi tensor t is 1 MiB; the build frees it before _combine and
     # holds beside it only the gathered pair entries, not a (P, d, d) stack copied out of t
     s, ch = thermal_state(16, 1.0), number_dephasing_channel(16, 0.3)
     quantum_fisher(s, SLD_FUNCTION, ch)  # the index maps are built once per dimension

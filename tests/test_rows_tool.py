@@ -21,8 +21,8 @@ BASE = {
     "instrument-ic/0.eps_a.kernel_violation": 2e-16,
     "instrument-ic/0.eps_a.quad_form": float("nan"),
     "instrument-ic/0.holds": True,
-    "fisher/00000": "64x63 rank 63 inverse 0",
-    "fisher/00001": "2x2 rank 1 svd 1",
+    "fisher/00000": "64x63 rank 63 inverse 0 kernel 0",
+    "fisher/00001": "2x2 rank 1 svd 1 kernel >0",
 }
 
 
@@ -54,12 +54,13 @@ def test_moved_values_print_their_relative_change(tmp_path, capsys):
     [{"verify-all@0/classical.q.status": "fail"},
      {"instrument-ic/0.holds": False},
      {"instrument-ic/0.holds": None},
-     {"fisher/00000": "64x63 rank 63 svd 1"},
-     {"fisher/00000": "64x63 rank 62 svd 1"},
-     {"fisher/00001": "2x2 rank 1 svd 2"},
+     {"fisher/00000": "64x63 rank 63 svd 1 kernel 0"},
+     {"fisher/00000": "64x63 rank 62 svd 1 kernel >0"},
+     {"fisher/00001": "2x2 rank 1 svd 2 kernel >0"},
+     {"fisher/00000": "64x63 rank 63 inverse 0 kernel >0"},
      {"fisher/00001": None}],
     ids=["status", "verdict", "missing", "census-form", "census-rank", "census-svd-calls",
-         "census-count"],
+         "census-kernel", "census-count"],
 )
 def test_a_changed_status_or_verdict_exits_1(tmp_path, capsys, change):
     assert _diff(tmp_path, change) == 1
@@ -73,6 +74,10 @@ def test_census_records_each_fisher_operator_built_in_the_block():
         FisherOperator(np.diag([1.0, 0.0]))  # with zeros, cut
         np.linalg.svd(np.eye(2))  # outside a build: not counted
         FisherOperator(np.ones((3, 2)))  # dense, cut
+        # with zeros, of full rank: no kernel, though the SVD's V rounds (a V kept at
+        # rank n would leave a residue of the all-ones vector)
+        FisherOperator(np.array([[1, 2, 0.3], [3, 4, 0], [0, 0, 5]]))
     FisherOperator(np.eye(2))  # after the block: not recorded
-    assert built == ["5x3 rank 3 inverse 0", "2x2 rank 1 svd 1", "3x2 rank 1 svd 1"]
+    assert built == ["5x3 rank 3 inverse 0 kernel 0", "2x2 rank 1 svd 1 kernel >0",
+                     "3x2 rank 1 svd 1 kernel >0", "3x3 rank 3 svd 1 kernel 0"]
     assert np.linalg.svd is svd

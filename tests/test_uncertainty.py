@@ -1,6 +1,7 @@
 """Measurement error, disturbance, joint POVMs, and the bound reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,22 @@ class TestJointPovm:
             assert np.shares_memory(ks, average_channel(ins).kraus)
         np.testing.assert_array_equal(average_channel(ins).kraus, kraus)
         np.testing.assert_array_equal(ins.starts, [0, 2, 4])
+
+    def test_holds_less_than_four_effect_stacks(self):
+        # at the instrument-ic shape (d = 8, 65 one-operator sets, 8 projectors) one
+        # (520, 8, 8) stack of effects is 532 KB: one batched product and the Povm checks
+        # peak at 1.53 MiB, and a third stack live at once would pass 2 MiB
+        gen = rng_from_seed(5)
+        ins, pvm = random_instrument(gen, 8, 65), pvm_of_observable(random_hermitian(gen, 8))
+        assert len(pvm) == 8 and len(ins.starts) == len(ins.channel.kraus) == 65
+        joint_povm(ins, pvm)
+        tracemalloc.start()
+        try:
+            joint_povm(ins, pvm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_rejects_non_projective_second_argument(self):
         with pytest.raises(InvalidOperandError):

@@ -9,9 +9,11 @@ and (24, 40), and the 40 error-disturbance reports of perfbench's instrument-ic
 workload at seed 0.  A dump is one flat JSON object: a row gives KEY.value and
 KEY.status, a report every dataclass field and its three verdicts, and
 fisher/NNNNN the census of the NNNNN-th FisherOperator those runs built, as
-"MxN rank R FORM K" with FORM "inverse" (J^-1 held through R^-H) or "svd" and K
-the np.linalg.svd calls its build made.  A string or bool is a status, verdict
-or census entry; a number is a value.  diff prints each value that moved with
+"MxN rank R FORM K kernel Z" with FORM "inverse" (J^-1 held through R^-H) or
+"svd", K the np.linalg.svd calls its build made, and Z "0" or ">0" as its
+kernel_violation of the all-ones vector is exactly 0 or not, so a change of the
+kernel rule within one form that moves an exact 0 shows.  A string or bool is a
+status, verdict or census entry; a number is a value.  diff prints each value that moved with
 its relative change, and each status, verdict or census entry that changed or
 is in one dump only; it exits 1 on any of the latter.  Point PYTHONPATH at
 another checkout to dump that tree, and diff the two dumps.
@@ -38,7 +40,8 @@ def _flat(prefix: str, obj, out: dict) -> None:
 
 @contextlib.contextmanager
 def fisher_census():
-    """Yield a list that gets "MxN rank R FORM K" for each FisherOperator built in the block."""
+    """Yield a list that gets "MxN rank R FORM K kernel Z" for each FisherOperator built
+    in the block."""
     from urlab.classical import FisherOperator
 
     built, init, svd, svds = [], FisherOperator.__init__, np.linalg.svd, []
@@ -51,7 +54,9 @@ def fisher_census():
         svds.clear()
         init(self, factor)
         form = "inverse" if np.ndim(self._sv) == 0 else "svd"  # the inverse form keeps _sv = 1
-        built.append(f"{factor.shape[0]}x{factor.shape[1]} rank {self.rank} {form} {len(svds)}")
+        (m, n), k = factor.shape, len(svds)
+        kernel = "0" if self.kernel_violation(np.ones(n)) == 0 else ">0"
+        built.append(f"{m}x{n} rank {self.rank} {form} {k} kernel {kernel}")
 
     FisherOperator.__init__, np.linalg.svd = recording, counting
     try:
