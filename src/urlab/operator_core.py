@@ -99,10 +99,10 @@ class TangentBasis:
     antisymmetric off-diagonal pairs (row-major), then diagonal elements
     (generalized Gell-Mann diagonals), so coordinate vectors are reproducible
     across runs.  Only the (j < k) index pair and the (d - 1) x d Gell-Mann
-    matrix G are kept.  _combine forms the complex pairings Tr[e_a^H y] from the
-    pair entries and diagonal its caller gathers, O(d^2) per matrix (the pushed
-    Fisher factor gathers them from its Choi tensor); coords gathers a stack and
-    computes only the real coordinates; matrix is two scatters and a product with G.
+    matrix G are kept.  _combine is the one pairing Tr[e_a^H y], O(d^2) per matrix, from
+    the pair entries and diagonal its caller gathers, into an output the caller lays out
+    like them: coords' fancy gathers and output are entry-major, the pushed Fisher
+    factor's flat Choi gathers and output row-major.  matrix is two scatters and a product.
     """
 
     dim: int
@@ -117,44 +117,33 @@ class TangentBasis:
     def size(self) -> int:
         return self.dim * self.dim - 1
 
-    def _empty(self, lead: tuple, dtype) -> np.ndarray:
-        """An empty (*lead, d^2 - 1) output of dtype laid out entry-major in memory, the
-        layout numpy gives the gathers, so no ufunc that writes into it transposes."""
-        return np.empty((self.size,) + lead, dtype).transpose(*range(1, len(lead) + 1), 0)
-
-    def _combine(self, up: np.ndarray, lo: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        """Tr[e_a^H y] for every element e_a and every matrix y of a stack, from its complex
-        y_jk (up) and y_kj (lo) over the pairs j < k and its diagonal, gathered by the
-        caller.  With up and lo scaled by 1 / sqrt 2 in place (the caller gives them up):
-        up + lo, i (up - lo), then G diag(y)."""
+    def _combine(self, up, lo, diag, out: np.ndarray) -> np.ndarray:
+        """Tr[e_a^H y] for every element e_a and matrix y of a stack, from its y_jk (up) and y_kj
+        (lo) over the pairs j < k and its diagonal, which the caller gathers, into the complex
+        (..., d^2 - 1) out it allocates in its gathers' layout, so no write transposes.  With up
+        and lo scaled by 1 / sqrt 2 in place (the caller gives them up): up + lo, i (up - lo) as
+        its parts Im lo - Im up and Re up - Re lo, with no complex product, then G diag(y)."""
         w, p = 1 / 2**0.5, up.shape[-1]
         up *= w
         lo *= w
-        out = self._empty(up.shape[:-1], complex)
         np.add(up, lo, out=out[..., :p])
-        np.subtract(up, lo, out=out[..., p : 2 * p])
-        out[..., p : 2 * p] *= 1j
+        np.subtract(lo.imag, up.imag, out=out[..., p : 2 * p].real)
+        np.subtract(up.real, lo.real, out=out[..., p : 2 * p].imag)
         np.matmul(diag, self._gell_mann.T, out=out[..., 2 * p :])
         return out
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """Real coordinates Re Tr[e_a^H x] of every matrix x of a (..., d, d) stack.
-
-        For a Hermitian x these are the coordinates of its traceless part.  They
-        are _combine's real parts, computed from the real and imaginary parts alone
-        with the same per-term scaling: with up = x_jk and lo = x_kj, Re up / sqrt 2
-        + Re lo / sqrt 2, then Im lo / sqrt 2 - Im up / sqrt 2, then G Re diag(x).
-        Only one matrix's G Re diag(x), which numpy hands to BLAS, may round apart.
-        """
-        x, w, (j, k) = np.asarray(x), 1 / 2**0.5, self._pairs
+        """Real coordinates Re Tr[e_a^H x] of every matrix x of a (..., d, d) stack: the real
+        part of _combine's pairing.  For a Hermitian x these are the coordinates of its
+        traceless part.  The fancy gathers come out entry-major, and so does the output,
+        allocated before them: `tools/faults.py instrument-ic 5 5` then counts 14 960 minor
+        page faults a warm pass, against 15 065 with the output allocated after them."""
+        x, (j, k) = np.asarray(x, complex if np.iscomplexobj(x) else float), self._pairs
         if x.shape[-2:] != (self.dim, self.dim):
             raise InvalidDimensionError(f"shape {x.shape} does not end in {(self.dim,) * 2}")
-        out, p = self._empty(x.shape[:-2], float), j.size  # before the gathers: after
-        up, lo = x[..., j, k], x[..., k, j]  # them, a 520-effect call faults 174 pages, not 110
-        np.add(up.real * w, lo.real * w, out=out[..., :p])
-        np.subtract(lo.imag * w, up.imag * w, out=out[..., p : 2 * p])
-        np.matmul(x.real.diagonal(0, -2, -1), self._gell_mann.T, out=out[..., 2 * p :])
-        return out
+        lead = x.shape[:-2]
+        out = np.empty((self.size,) + lead, complex).transpose(*range(1, len(lead) + 1), 0)
+        return self._combine(x[..., j, k], x[..., k, j], x.diagonal(0, -2, -1), out).real
 
     def matrix(self, coords: Sequence[float]) -> np.ndarray:
         """sum_a c_a e_a for every coordinate vector of a (..., d^2 - 1) stack."""
@@ -330,11 +319,14 @@ class SuperOperatorKf:
 def kf_superoperator(rho: np.ndarray, f: MonotoneFunction) -> SuperOperatorKf:
     """Diagonalize a state and build its K^f superoperator, which inverts the state.
 
-    Raises SingularStateError unless the smallest eigenvalue exceeds eigh_tol.
+    Raises SingularStateError unless the smallest eigenvalue exceeds eigh_tol, and
+    InvalidOperandError unless every b f(a / b) is in (0, inf): f is checked on a grid only.
     """
     rho = require_hermitian(rho, "state")
     w, u = np.linalg.eigh(rho)
     if w[0] <= eigh_tol(w):
         raise SingularStateError(f"state eigenvalue {w[0]:.3e} is not above {eigh_tol(w):.1e}")
     coeff = f.kernel_coefficient(w[:, None], w[None, :])
+    if not 0 < coeff.min() <= coeff.max() < math.inf:
+        raise InvalidOperandError(f"function {f.name!r} gives a K^f coefficient not in (0, inf)")
     return SuperOperatorKf(state_eigenvalues=w, state_eigenvectors=u, coefficients=coeff)

@@ -74,10 +74,11 @@ def _pushed_fisher(
     t[i,j,m,k] = sum_l K'_l[i,j] conj(K'_l[m,k]) is one matmul, and
     (u^H E(e_a) u)[i,m] = sum_jk e_a[j,k] t[i,j,m,k] = Tr[e_a^H t[i,:,m,:]^T], because e_a is
     Hermitian.  So is h_a.  The pair entries and diagonal of each t[i,:,m,:]^T are gathered
-    straight out of t, one flat index each, at the pairs (i, m) the factor reads; t is freed,
-    and TangentBasis._combine pairs them with every e_a.  The d' rows h_a[i,i], less their
-    left-null vector sqrt(l) of sigma, come first, then sqrt(2) h_a[i,m] (i < m) as real and
-    imaginary parts (SLD) or h_a[i,m] for i < m and then i > m.
+    straight out of t, one flat index each, at the pairs (i, m) the factor reads, into
+    row-major (pair, entry) arrays; t is freed, and TangentBasis._combine pairs them with
+    every e_a into a row-major (pair, a) output, the gathers' layout.  The d' rows h_a[i,i],
+    less their left-null vector sqrt(l) of sigma, come first, then sqrt(2) h_a[i,m] (i < m)
+    as real and imaginary parts (SLD) or h_a[i,m] for i < m and then i > m.
     """
     sigma = rho if pushforward is None else pushforward(rho)
     k = kf_superoperator(sigma, f)
@@ -92,7 +93,7 @@ def _pushed_fisher(
     (j, q), at = _index_maps(d)[0], ((i * s + m) * d)[:, None]
     y = [t[at + o] for o in (q * s + j, j * s + q, np.arange(d) * (s + 1))]  # y_jq, y_qj, diag
     del t
-    h = tangent_basis(d)._combine(*y)  # h[pair, a]
+    h = tangent_basis(d)._combine(*y, np.empty((i.size, d * d - 1), complex))  # h[pair, a]
     h *= (1 / np.sqrt(k.coefficients[i, m]))[:, None]  # bit for bit numpy's h / sqrt(c), faster
     # c_f(l, l) = l f(1) = l, so sum_i sqrt(l_i) h_a[i, i] = Tr E(e_a) = 0
     diag, off = _deflate(h[:dp], np.sqrt(k.state_eigenvalues)), h[dp:]

@@ -170,6 +170,11 @@ def _loewner_gap(j: np.ndarray, k: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(j - k).min() / max(np.linalg.norm(j), 1.0))
 
 
+def _unsharp_z_error(eta: float) -> float:
+    """1 / eta^2 - 1, and inf once eta^2 underflows to 0 (eta below about 1.6e-162)."""
+    return 1 / eta**2 - 1 if eta**2 else math.inf
+
+
 def _scenario_qubit_unsharp(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
     eta = cfg.param("eta", 0.8)
     if not 0 < eta <= 1:
@@ -179,7 +184,7 @@ def _scenario_qubit_unsharp(cfg: ScenarioConfig) -> tuple[list[Row], list[int]]:
     maximally_mixed = IDENTITY2 / 2
 
     eps = measurement_error(maximally_mixed, SIGMA_Z, unsharp_z_povm(eta))
-    rows.append(eq_row("epsilon_sz", eps.value, 1 / eta**2 - 1, atol=1e-10))
+    rows.append(eq_row("epsilon_sz", eps.value, _unsharp_z_error(eta), atol=1e-10))
 
     eps_pvm = measurement_error(maximally_mixed, SIGMA_Z, pvm_of_observable(SIGMA_Z))
     rows.append(le_row("pvm_zero_error", abs(eps_pvm.value), 1e-8))
@@ -220,7 +225,7 @@ def _scenario_qubit_instrument(cfg: ScenarioConfig) -> tuple[list[Row], list[int
     rows.append(flag_row("ed_domination_disturbance", rep.domination_b))
 
     eps = measurement_error(maximally_mixed, SIGMA_Z, induced_povm(ins))
-    rows.append(eq_row("epsilon_sz_instrument", eps.value, 1 / eta**2 - 1, atol=1e-10))
+    rows.append(eq_row("epsilon_sz_instrument", eps.value, _unsharp_z_error(eta), atol=1e-10))
     # the average channel shrinks the x component by sqrt(1 - eta^2), so
     # eta(sigma_x) = (1 - eta^2)^{-1} - 1; full dephasing makes it infinite
     eta_b = disturbance(maximally_mixed, SIGMA_X, average_channel(ins))

@@ -159,6 +159,18 @@ class TestScenarioCommand:
         res = runner.invoke(main, ["scenario", name, "--param", param])
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize(
+        "name, param, row",
+        [("qubit-unsharp", "eta=1e-200", "epsilon_sz"),
+         ("qubit-instrument", "eta=1e-300", "epsilon_sz_instrument")],
+    )
+    def test_closed_form_of_an_underflowing_eta_is_infinite(self, runner, name, param, row):
+        # eta^2 underflows to 0 below about 1.6e-162, inside (0, 1]: 1 / eta^2 - 1 is inf
+        res = runner.invoke(main, ["scenario", name, "--param", param])
+        assert res.exit_code == 0, res.output
+        line = next(x for x in res.output.splitlines() if f" {row} " in x)
+        assert "value=inf bound=inf [infinite]" in line
+
     @pytest.mark.parametrize("eta", ["1.0", "0", "1.5", "-0.5"])
     def test_qubit_instrument_rejects_eta_outside_open_unit_interval(self, runner, eta):
         res = runner.invoke(main, ["scenario", "qubit-instrument", "--param", f"eta={eta}"])

@@ -129,10 +129,11 @@ def test_coords_matrix_round_trip(rng):
 
 
 def _inner(basis, y):
-    # Tr[e_a^H y] for every matrix y of a stack: _combine of a test-local gather of
-    # y's pair entries and diagonal, as the pushed Fisher factor gathers from its Choi tensor
+    # Tr[e_a^H y] for every matrix y of a stack: _combine of a test-local gather of y's
+    # pair entries and diagonal into an entry-major output, the layout of the gathers
     (j, k), y = basis._pairs, np.asarray(y, complex)
-    return basis._combine(y[..., j, k], y[..., k, j], y.diagonal(0, -2, -1))
+    out = np.empty((basis.size,) + y.shape[:-2], complex).transpose(*range(1, y.ndim - 1), 0)
+    return basis._combine(y[..., j, k], y[..., k, j], y.diagonal(0, -2, -1), out)
 
 
 def _dense_basis(dim):
@@ -234,25 +235,24 @@ def test_is_hermitian_matches_the_per_matrix_loop(seed, d, n, cplx, magnitude, l
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_coords_are_the_real_part_of_inner(dim):
-    # coords computes only Re Tr[e_a^H x], from x's real and imaginary parts, and must
-    # equal the complex pairing's real part bit for bit on stacks, Hermitian or not, in
-    # any layout
+    # coords is Re Tr[e_a^H x], the real part of the one complex pairing, and must equal
+    # it bit for bit on stacks and single matrices, Hermitian or not, in any layout
     gen = rng_from_seed(40 + dim)
     basis = tangent_basis(dim)
     herm = np.array([random_hermitian(gen, dim) for _ in range(6)])
     for y in (herm, herm.reshape(2, 3, dim, dim), random_complex(gen, (5, dim, dim)),
-              _laid_out(random_complex(gen, (4, dim, dim)), "transposed")):
+              _laid_out(random_complex(gen, (4, dim, dim)), "transposed"), herm[0], herm[:1]):
         got, want = basis.coords(y), _inner(basis, y).real
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    # numpy hands a single diagonal to BLAS, complex in _combine and real in coords, whose
-    # sums may round apart: the Gell-Mann coordinates then agree to rounding only
-    for y in (herm[0], herm[:1]):
-        np.testing.assert_allclose(basis.coords(y), _inner(basis, y).real, rtol=0, atol=1e-15 * dim)
     # a real input takes the same route; its imaginary parts read as zeros
     x = herm.real
     np.testing.assert_array_equal(basis.coords(x), _inner(basis, x).real)
     np.testing.assert_array_equal(basis.coords(x), basis.coords(x.astype(complex)))
+    # _combine scales its gathers in place, so an integer or bool input is read as float
+    z = np.rint(4 * x)
+    for y in (z.astype(int), z.tolist(), z != 0):
+        np.testing.assert_array_equal(basis.coords(y), basis.coords(np.asarray(y, float)))
 
 
 def test_project_traceless(rng):

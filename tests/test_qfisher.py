@@ -206,7 +206,9 @@ def test_fisher_matrix_matches_metric_entries(f):
 
 def _pair_stack_factor(rho, f, ch):
     # the pushed factor as _combine pairs it with the entries gathered from the (P, d, d)
-    # stack of the slices t[i, :, m, :]^T at the pairs (i, m): no flat index into t is shared
+    # stack of the slices t[i, :, m, :]^T at the pairs (i, m): no flat index into t is shared.
+    # Its gathers are made contiguous (P, .) arrays and its output row-major, the layout of
+    # the program's flat gathers and output, so the bitwise comparison compares one layout
     k = kf_superoperator(rho if ch is None else ch(rho), f)
     uh = k.state_eigenvectors.conj().T
     kp = uh[None] if ch is None else uh @ ch.kraus
@@ -217,7 +219,8 @@ def _pair_stack_factor(rho, f, ch):
     i, m = np.concatenate([n, r, c][:parts]), np.concatenate([n, c, r][:parts])
     y, basis = t.transpose(0, 2, 3, 1)[i, m], tangent_basis(d)
     j, q = basis._pairs
-    h = basis._combine(y[..., j, q], y[..., q, j], y.diagonal(0, -2, -1))
+    g = [np.ascontiguousarray(a) for a in (y[..., j, q], y[..., q, j], y.diagonal(0, -2, -1))]
+    h = basis._combine(*g, np.empty((i.size, basis.size), complex))
     h *= (1 / np.sqrt(k.coefficients[i, m]))[:, None]
     diag, off = _deflate(h[:dp], np.sqrt(k.state_eigenvalues)), h[dp:]
     if f is SLD_FUNCTION:
@@ -310,6 +313,16 @@ def test_sld_optimal_pvm_attains_fisher_form(rng):
     js = quantum_fisher(s, SLD_FUNCTION).matrix
     c = basis.coords(phi)
     assert c @ jm @ c == pytest.approx(c @ js @ c, rel=1e-10)
+
+
+@pytest.mark.parametrize("call", [lambda s, f: quantum_fisher(s, f),
+                                  lambda s, f: log_derivative(s, np.diag([1.0, -1.0]), f)],
+                         ids=["quantum_fisher", "log_derivative"])
+def test_zero_kf_coefficient_is_refused(call):
+    # f passes MonotoneFunction's grid checks, yet b f(a / b) = 0 at a / b = 0.005 / 0.995
+    step = MonotoneFunction("step", lambda x: np.where(x >= 0.01, x, 0.0))
+    with pytest.raises(InvalidOperandError, match="'step'"):
+        call(np.diag([0.995, 0.005]), step)
 
 
 @pytest.mark.parametrize("solve", [log_derivative, sld_optimal_pvm])
