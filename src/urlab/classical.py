@@ -27,7 +27,7 @@ from .errors import (
     SingularModelError,
     _as_int,
 )
-from .operator_core import tangent_basis
+from .operator_core import _norm, tangent_basis
 from .quantum import Povm, QuantumState, _as_state
 
 # Outcomes with probability at or below this floor are dropped, provided their
@@ -177,12 +177,6 @@ class FisherOperator:
             return 0.0
         a = np.asarray(a)
         return _norm(a - self._vh.conj().T @ (self._vh @ a))
-
-
-def _norm(x: np.ndarray) -> float:
-    """|x| of x scaled exactly by the power of 2 of its largest entry: no square overflows."""
-    s = 2.0 ** -max(int(np.frexp(np.abs(x).max(initial=0.0))[1]), -1000)
-    return float(np.linalg.norm(x * s)) / s
 
 
 def _in_range(violation: float, a: np.ndarray) -> bool:

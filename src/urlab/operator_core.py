@@ -62,6 +62,12 @@ def require_hermitian(a: np.ndarray, what: str = "operand") -> np.ndarray:
     return a
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x| of x scaled exactly by the power of 2 of its largest entry: no square overflows."""
+    s = 2.0 ** -max(int(np.frexp(np.abs(x).max(initial=0.0))[1]), -1000)
+    return float(np.linalg.norm(x * s)) / s
+
+
 def eigh_tol(w: np.ndarray) -> float:
     """d eps max|lambda|, eigh's accuracy on the eigenvalues w of a d x d Hermitian matrix."""
     return w.size * np.finfo(float).eps * np.abs(w).max()

@@ -1,19 +1,16 @@
 """Quantum states, observables, POVMs, channels and instruments.
 
-Observables and tangent directions are plain Hermitian numpy arrays; the
-structured objects (states, POVMs, channels, instruments) validate their
-defining constraints on construction and are immutable afterwards.  A state
-passed as a raw matrix becomes a QuantumState once per call, by one rule:
-finite (is_hermitian refuses NaN and inf), Hermitian, unit trace, smallest
-eigenvalue at least -eigh_tol.  Operator families (effects, Kraus operators)
-are single finite complex (n, rows, cols) arrays, by one rule, _operator_stack;
-an instrument's sets are stacked once, into its total channel.  A POVM's effects
-pass the PSD test with one batched Cholesky factorization of E + tol I; only when
-that fails do their smallest eigenvalues decide and name the offending effect.
-apply_channel and KrausChannel.adjoint each make two matrix products over the
-Kraus stack.
+Observables and tangent directions are plain Hermitian numpy arrays; states,
+POVMs, channels and instruments are validated once and immutable.  A raw state
+becomes a QuantumState once per call: finite, Hermitian, unit trace, smallest
+eigenvalue at least -eigh_tol.  Operator families are single finite complex
+(n, rows, cols) arrays, by _operator_stack; an instrument's sets are stacked once,
+into its total channel.  Povm(...) runs the PSD test as one batched Cholesky of
+E + tol I; only when that fails do the smallest eigenvalues decide and name the
+effect.  The POVMs derived from admitted operands (induced, spectral, joint) skip
+the Hermitian and PSD tests that their construction implies, by _derived_povm.
+apply_channel and KrausChannel.adjoint each make two matrix products.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -21,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOperandError
-from .operator_core import dagger, eigh_tol, is_hermitian, project_traceless, require_hermitian
+from .operator_core import (_norm, dagger, eigh_tol, is_hermitian, project_traceless,
+                            require_hermitian)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +70,7 @@ def _operator_stack(ops, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Finite family of PSD effects, one (n, d, d) array, summing to the identity to 1e-8."""
+    """Finite family of PSD effects, one (n, d, d) array, summing to I to 1e-8: all tested."""
 
     outcomes: tuple
     effects: np.ndarray
@@ -93,6 +91,10 @@ class Povm:
             negative = np.linalg.eigvalsh(effects)[:, 0] < -tol
             if negative.any():
                 raise InvalidOperandError(f"effect {outcomes[negative.argmax()]!r} is not PSD")
+        self._complete(outcomes, effects)
+
+    def _complete(self, outcomes: tuple, effects: np.ndarray) -> None:
+        """Set the fields once the effects pass the completeness rule: they sum to I to 1e-8."""
         if np.abs(effects.sum(axis=0) - np.eye(effects.shape[1])).max() > 1e-8:
             raise InvalidOperandError("effects do not sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
@@ -110,6 +112,14 @@ class Povm:
         e = self.effects
         scale = np.maximum(np.abs(e).max(axis=(1, 2)), 1.0)
         return bool(np.all(np.abs(e @ e - e).max(axis=(1, 2)) <= 1e-8 * scale))
+
+
+def _derived_povm(outcomes, effects) -> Povm:
+    """The Povm of effects Hermitian and PSD by construction from admitted operands (see
+    each caller); only _operator_stack and the completeness rule, which rounding can break, run."""
+    povm = object.__new__(Povm)
+    povm._complete(tuple(outcomes), _operator_stack(effects, "effects"))
+    return povm
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,9 +260,9 @@ def apply_channel(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
 
 
 def induced_povm(ins: CpInstrument) -> Povm:
-    """The POVM measured by the instrument: effect(x) = sum_k K_{x,k}^dagger K_{x,k}."""
+    """The instrument's POVM: effect(x) = sum_k K_{x,k}^H K_{x,k}, a sum of PSD Gram matrices."""
     k = ins.channel.kraus
-    return Povm(outcomes=ins.outcomes, effects=np.add.reduceat(dagger(k) @ k, ins.starts))
+    return _derived_povm(ins.outcomes, np.add.reduceat(dagger(k) @ k, ins.starts))
 
 
 def average_channel(ins: CpInstrument) -> KrausChannel:
@@ -263,15 +273,17 @@ def average_channel(ins: CpInstrument) -> KrausChannel:
 def pvm_of_observable(a: np.ndarray) -> Povm:
     """Spectral measure of a Hermitian matrix, with degenerate levels clustered.
 
-    Eigenvalues closer than 1e-8 * max(||A||, 1) are merged into a single
-    spectral projection; outcome labels are the mean eigenvalues of each
-    cluster.
+    Eigenvalues closer than 1e-8 max(||A||_F, 1), by _norm, merge into one spectral
+    projection labelled by their mean; a spectrum whose d max|w| overflows is refused.
+    A sum of outer products u u^H is Hermitian and PSD, so _derived_povm admits it.
     """
     a = require_hermitian(a, "observable")
     w, u = np.linalg.eigh(a)
-    tol = 1e-8 * max(np.linalg.norm(a), 1.0)
-    # eigenvalues are ascending: a new cluster starts at every gap above the tolerance
+    if not np.isfinite(float(np.abs(w).max()) * w.size):  # bounds every gap and cluster sum
+        raise InvalidOperandError(f"observable spectrum {w} is not finite, or too large to cluster")
+    tol = 1e-8 * max(_norm(a), 1.0)
+    # eigenvalues are ascending: the first opens a cluster, and so does every gap above tol
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol)
     outcomes = np.add.reduceat(w, starts) / np.diff(starts, append=w.size)
     effects = np.add.reduceat(u.T[:, :, None] * u.T.conj()[:, None, :], starts)  # u_i u_i^H
-    return Povm(outcomes=tuple(outcomes.tolist()), effects=effects)
+    return _derived_povm(tuple(outcomes.tolist()), effects)

@@ -30,6 +30,7 @@ from .quantum import (
     Povm,
     QuantumState,
     _as_state,
+    _derived_povm,
     average_channel,
     correlation,
     grad_expectation,
@@ -95,7 +96,9 @@ def joint_povm(ins: CpInstrument, pvm: Povm) -> Povm:
     Any PVM on the output space will do.  The effects are one batched product
     K_k^H Pi_y K_k over every Kraus operator k and projector y, whose (k, y)
     order is already the outcomes' x-major order; only an instrument with a
-    multi-operator Kraus set sums over its sets.
+    multi-operator Kraus set sums over its sets.  E_xy is Hermitian, and with M_x
+    the induced effect lambda_min(E_xy) >= lambda_min(Pi_y) lambda_max(M_x), M_x <= I:
+    it keeps its admitted PVM effect's floor.  So _derived_povm skips both tests.
     """
     if not pvm.is_projective():
         raise InvalidOperandError("second argument must be a projective measurement")
@@ -105,8 +108,8 @@ def joint_povm(ins: CpInstrument, pvm: Povm) -> Povm:
     effects = dagger(k)[:, None] @ pvm.effects @ k[:, None]  # (n, ny, d, d)
     if len(ins.starts) < len(k):
         effects = np.add.reduceat(effects, ins.starts)
-    return Povm(outcomes=tuple(itertools.product(ins.outcomes, pvm.outcomes)),
-                effects=effects.reshape(-1, *effects.shape[2:]))
+    return _derived_povm(tuple(itertools.product(ins.outcomes, pvm.outcomes)),
+                         effects.reshape(-1, *effects.shape[2:]))
 
 
 @dataclass(frozen=True)

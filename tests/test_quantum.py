@@ -348,6 +348,23 @@ class TestPvmOfObservable:
         assert np.abs(pvm.effects.sum(axis=0) - np.eye(5)).max() <= 1e-14
 
 
+    @pytest.mark.parametrize("w", [[3e154, 0.0], [1e200, 0.0], [1e300, -1e300], [1e154, 0.0]])
+    def test_observable_whose_norm_squares_overflow(self, w):
+        # np.linalg.norm overflowed from entries of about 1.3e154 on: the tolerance was
+        # inf, no cluster started, and the empty effect stack was refused as malformed
+        pvm = pvm_of_observable(np.diag(w))
+        assert pvm.outcomes == pytest.approx(sorted(w), rel=1e-15)
+        order = np.argsort(w)
+        projectors = np.eye(2)[order][:, :, None] * np.eye(2)[order][:, None, :]
+        np.testing.assert_allclose(pvm.effects, projectors, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("a", [np.full((2, 2), 1e308), np.diag([1.7e308, -1.7e308])])
+    def test_observable_without_a_finite_spectrum_is_refused(self, a):
+        # eigh returns [0, inf] for the first; the gap of the second overflows
+        with pytest.raises(InvalidOperandError, match="spectrum"):
+            pvm_of_observable(a)
+
+
 @pytest.mark.parametrize(
     "build",
     [

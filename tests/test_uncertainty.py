@@ -31,6 +31,7 @@ from urlab import (
 )
 from urlab import uncertainty
 from urlab.errors import InvalidOperandError, SingularStateError
+from urlab.quantum import _derived_povm
 from urlab.randoms import (
     random_channel,
     random_complex,
@@ -292,8 +293,8 @@ class TestJointPovm:
 
     def test_holds_less_than_four_effect_stacks(self):
         # at the instrument-ic shape (d = 8, 65 one-operator sets, 8 projectors) one
-        # (520, 8, 8) stack of effects is 532 KB: one batched product and the Povm checks
-        # peak at 1.53 MiB, and a third stack live at once would pass 2 MiB
+        # (520, 8, 8) stack of effects is 532 KB: the batched product's two stacks peak
+        # at 1.02 MiB, with no Povm check temporaries, and a third would pass 1.25 MiB
         gen = rng_from_seed(5)
         ins, pvm = random_instrument(gen, 8, 65), pvm_of_observable(random_hermitian(gen, 8))
         assert len(pvm) == 8 and len(ins.starts) == len(ins.channel.kraus) == 65
@@ -304,7 +305,7 @@ class TestJointPovm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 1.25 * 2**20
 
     def test_rejects_non_projective_second_argument(self):
         with pytest.raises(InvalidOperandError):
@@ -372,7 +373,60 @@ class TestErrorErrorReport:
             assert rep.holds
 
 
+def _instrument_of_small_sets(gen, d: int, n: int) -> CpInstrument:
+    """A random instrument whose n Kraus sets hold 1-3 operators each, the first 3."""
+    sizes = gen.integers(1, 4, size=n)
+    sizes[0] = 3
+    kraus = random_channel(gen, d, int(sizes.sum())).kraus
+    return CpInstrument(outcomes=tuple(range(n)), kraus_sets=np.split(kraus, np.cumsum(sizes)[:-1]))
+
+
+def _degenerate_observable(gen, d: int) -> np.ndarray:
+    """A diagonal with a repeated eigenvalue, rotated by a random unitary."""
+    levels = np.arange(d) // 2 - 0.5 * gen.random()
+    u = np.linalg.qr(random_complex(gen, (d, d)))[0]
+    return (u * levels) @ u.conj().T
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_derived_povms_pass_the_full_admission(seed, d):
+    # induced_povm, pvm_of_observable and joint_povm skip the Hermitian and PSD tests
+    # that their construction implies; Povm(...) runs them, and every check, again
+    gen = rng_from_seed(1000 * seed + d)
+    pvm = pvm_of_observable(_degenerate_observable(gen, d))
+    assert len(pvm) == (d + 1) // 2  # every level but a lone top one is a double one
+    derived = [pvm, pvm_of_observable(random_hermitian(gen, d))]
+    for ins in (random_instrument(gen, d, 3), _instrument_of_small_sets(gen, d, 4)):
+        derived += [induced_povm(ins), joint_povm(ins, pvm)]
+    assert len(derived[-1]) == 4 * len(pvm)
+    for p in derived:
+        full = Povm(outcomes=p.outcomes, effects=p.effects)
+        assert full.outcomes == p.outcomes
+        np.testing.assert_array_equal(full.effects, p.effects)
+
+
+def test_derived_povm_still_checks_completeness():
+    halves = np.array([np.eye(2), np.eye(2)]) / 2 * (1 + 2e-8)
+    with pytest.raises(InvalidOperandError, match="effects do not sum to the identity"):
+        _derived_povm((0, 1), halves)
+
+
 class TestErrorDisturbanceReport:
+    def test_admits_its_derived_povms_without_cholesky_or_stacked_hermitian_test(
+        self, cholesky_calls, hermitian_test_shapes
+    ):
+        # the induced POVM, the SLD PVM and the 520-effect joint POVM each ran the
+        # Hermitian test and a batched Cholesky on effects their construction makes PSD
+        gen = rng_from_seed(5)
+        s, ins = random_state(gen, 8), random_instrument(gen, 8, 65)
+        a, b = random_hermitian(gen, 8), random_hermitian(gen, 8)
+        cholesky_calls.clear()
+        hermitian_test_shapes.clear()
+        error_disturbance_report(s, a, b, ins)
+        assert cholesky_calls == []
+        assert hermitian_test_shapes and all(len(shape) == 2 for shape in hermitian_test_shapes)
+
     def test_unsharp_instrument_example(self):
         # all four inequalities hold for the unsharp instrument on a state
         # displaced along x
